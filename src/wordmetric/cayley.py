@@ -141,13 +141,12 @@ def build_d2(w: Word, q: FiniteQuotient) -> D2Matrix:
     return D2Matrix(word=w, quotient=q, rows=tuple(tuple(r) for r in walked))
 
 
-def _row_reduce_pivot_rows(rows: Sequence[Sequence[int]]) -> List[int]:
+def _row_reduce_pivot_rows(rows: Sequence[Sequence[Fraction]]) -> List[int]:
     """Indices of an earliest-index maximal independent set of rows."""
-    basis: List[List[Fraction]] = []
+    basis: List[Sequence[Fraction]] = []
     pivots: List[int] = []  # column index of each basis vector's pivot
     selected = []
-    for idx, row in enumerate(rows):
-        vec = [Fraction(e) for e in row]
+    for idx, vec in enumerate(rows):
         for bvec, pcol in zip(basis, pivots):
             if vec[pcol]:
                 factor = vec[pcol] / bvec[pcol]
@@ -176,7 +175,7 @@ class CohomReport:
 
 
 def cohomology_defect(m: D2Matrix) -> CohomReport:
-    pivots = _row_reduce_pivot_rows(m.rows)
+    pivots = _row_reduce_pivot_rows([[Fraction(e) for e in row] for row in m.rows])
     return CohomReport(
         n_cells=m.n_cells, rank=len(pivots), pivot_cells=tuple(pivots)
     )
@@ -408,22 +407,6 @@ def solve_in_abelian(
 # -- width two for the permutation representation ----------------------------
 
 
-def _rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:
-    basis: List[List[Fraction]] = []
-    pivots: List[int] = []
-    for vec in vectors:
-        vec = list(vec)
-        for bvec, pcol in zip(basis, pivots):
-            if vec[pcol]:
-                factor = vec[pcol] / bvec[pcol]
-                vec = [a - factor * b for a, b in zip(vec, bvec)]
-        pcol = next((j for j, e in enumerate(vec) if e), None)
-        if pcol is not None:
-            basis.append(vec)
-            pivots.append(pcol)
-    return len(basis)
-
-
 def _permute_vector(vec: Sequence[Fraction], sigma: Permutation) -> List[Fraction]:
     out = [Fraction(0)] * len(vec)
     for i, val in enumerate(vec):
@@ -451,14 +434,14 @@ def width_two_shift(
             raise ValueError("vector length differs from n")
         if sum(vec) != 0:
             raise ValueError("vectors must lie in the zero-sum hyperplane")
-    d1 = _rank_of_vectors(u1)
-    d2 = _rank_of_vectors(u2)
+    d1 = len(_row_reduce_pivot_rows(u1))
+    d2 = len(_row_reduce_pivot_rows(u2))
     if d1 + d2 < n - 1:
         raise ValueError("dimensions too small: no shift can span")
 
     def works(sigma: Permutation) -> bool:
         combined = list(u1) + [_permute_vector(v, sigma) for v in u2]
-        return _rank_of_vectors(combined) == n - 1
+        return len(_row_reduce_pivot_rows(combined)) == n - 1
 
     rng = random.Random(seed)
     for _ in range(max_tries):

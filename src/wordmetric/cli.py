@@ -11,21 +11,20 @@ from __future__ import annotations
 
 import argparse
 import io
-import itertools
 import json
 import math
 import os
 import random
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .fox import su_certificate
-from .perms import Permutation, cycle_notation, parse_cycle_notation
-from .symmetric import Witness, approx
+from .oracle import _partition_representative, _partitions
+from .perms import Permutation, parse_cycle_notation
+from .symmetric import approx
 from .words import Word, WordSyntaxError, parse_word
 
 EXIT_OK = 0
@@ -68,14 +67,6 @@ class RunConfig:
         if self.samples is not None:
             out["samples"] = self.samples
         return out
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("WORDMAP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parse_word_arg(text: str) -> Word:
@@ -157,16 +148,6 @@ def _conjugacy_class_size(n: int, cycle_type: Tuple[Tuple[int, int], ...]) -> in
     return math.factorial(n) // centralizer
 
 
-def _partitions(n: int, largest: Optional[int] = None):
-    if n == 0:
-        yield ()
-        return
-    largest = n if largest is None else largest
-    for part in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
-
-
 def _scan_targets(n: int, samples: str, seed: int) -> List[Tuple[Permutation, int]]:
     """Weighted target list: (target, multiplicity)."""
     if samples == "all":
@@ -175,15 +156,8 @@ def _scan_targets(n: int, samples: str, seed: int) -> List[Tuple[Permutation, in
         # The construction is equivariant under relabeling of the target's
         # points, so one representative per cycle type stands in for the
         # whole conjugacy class.
-        out = []
-        for partition in _partitions(n):
-            cycles, point = [], 0
-            for length in partition:
-                cycles.append(list(range(point, point + length)))
-                point += length
-            rep = Permutation.from_cycles(n, cycles)
-            out.append((rep, _conjugacy_class_size(n, rep.cycle_type())))
-        return out
+        reps = [_partition_representative(n, part) for part in _partitions(n)]
+        return [(rep, _conjugacy_class_size(n, rep.cycle_type())) for rep in reps]
     count = int(samples)
     rng = random.Random(f"{seed}:{n}:scan")
     return [(_random_permutation(n, rng), 1) for _ in range(count)]
@@ -216,13 +190,8 @@ def cmd_density_scan(config: RunConfig) -> int:
             raise CLIParseError(f"bad --samples {samples!r}")
     grid = sorted(set(config.ns))
     jobs = [(n, _scan_targets(n, samples, config.seed)) for n in grid]
-    threads = _thread_count()
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(lambda job: _scan_row(w, *job), jobs))
-        else:
-            rows = [_scan_row(w, n, targets) for n, targets in jobs]
+        rows = [_scan_row(w, n, targets) for n, targets in jobs]
     except (ValueError, AssertionError) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import sympy
-
+from .ffield import factorize
 from .words import Word
 
 
@@ -283,17 +283,58 @@ def specialize_pw(w: Word) -> LaurentPoly1:
     return specialize_details(w).p
 
 
+def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """Integer long division by a monic b (coefficient lists, index = degree)."""
+    m = len(b) - 1
+    rem = list(a)
+    quot = [0] * max(len(a) - m, 0)
+    for i in range(len(a) - 1 - m, -1, -1):
+        c = rem[i + m]
+        if c:
+            quot[i] = c
+            for j, bj in enumerate(b):
+                rem[i + j] -= c * bj
+    return quot, rem[:m]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> Tuple[int, ...]:
+    """Phi_d, as X^d - 1 divided by Phi_e for every proper divisor e of d."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly = _divmod_monic(poly, _cyclotomic(e))[0]
+    return tuple(poly)
+
+
+def _totient(d: int) -> int:
+    out = d
+    for prime in factorize(d):
+        out -= out // prime
+    return out
+
+
 def count_Wn(p: LaurentPoly1, n: int) -> int:
-    """Number of distinct nth roots of unity annihilating p, exactly over Q."""
+    """Number of distinct nth roots of unity annihilating p, exactly over Q.
+
+    X^n - 1 is the squarefree product of the irreducible Phi_d over d | n,
+    so the count is the sum of phi(d) over the d | n with Phi_d | p.  Only
+    phi(d) <= deg p can divide, and phi(d) >= sqrt(d/2) caps d at 2 deg^2.
+    """
     if p.is_zero():
         raise ValueError("zero polynomial annihilates everything")
     if n < 1:
         raise ValueError("n must be positive")
-    X = sympy.Symbol("X")
     lo = min(p.terms)
-    poly = sum(c * X ** (e - lo) for e, c in p.terms.items())
-    g = sympy.gcd(sympy.Poly(poly, X), sympy.Poly(X ** n - 1, X))
-    return sympy.Poly(g, X).degree()
+    coeffs = [p.terms.get(e, 0) for e in range(lo, max(p.terms) + 1)]
+    deg = len(coeffs) - 1
+    count = 0
+    for d in range(1, min(n, 2 * deg * deg) + 1):
+        if n % d == 0:
+            phi = _totient(d)
+            if phi <= deg and not any(_divmod_monic(coeffs, _cyclotomic(d))[1]):
+                count += phi
+    return count
 
 
 @dataclass(frozen=True)

@@ -214,12 +214,6 @@ def evaluate_word_matrix(w: Word, g: MatrixFq, h: MatrixFq) -> MatrixFq:
     return value
 
 
-def rational_canonical_form(a: MatrixFq) -> Tuple[FqPoly, ...]:
-    """Invariant factors of a; a is similar to the sum of their Frobenius
-    blocks."""
-    return a.invariant_factors()
-
-
 def rank_distance(a: MatrixFq, b: MatrixFq) -> Fraction:
     if a.field is not b.field or a.n != b.n or a.ncols != b.ncols:
         raise ValueError("matrices live in different spaces")

@@ -8,6 +8,7 @@ order, so permutation encodings are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -332,10 +333,20 @@ def isotypic_word_value(w: Word, k: int, field: Field, i: int = 1) -> IsotypicVa
         raise AssertionError(
             f"value has cycle type {sigma.cycle_type()}, expected {expected}"
         )
-    assert projective_permutation(evaluate_word_sl2(w, g, h)) == sigma
+    if projective_permutation(evaluate_word_sl2(w, g, h)) != sigma:
+        raise AssertionError(
+            "projective action of the matrix word value differs from the "
+            "word value of the projective permutations"
+        )
     return IsotypicValue(
         sigma=sigma, m=sol.m, field=big, g=g, h=h, g_perm=g_perm, h_perm=h_perm
     )
+
+
+def _cycle_count_cap(l: int, qi: int) -> int:
+    """Largest integer strictly below 2 + sqrt(l * q^i)."""
+    root = math.isqrt(l * qi)
+    return 1 + root if root * root == l * qi else 2 + root
 
 
 @dataclass
@@ -385,12 +396,17 @@ def near_cycle_word_value(w: Word, field: Field) -> NearCycleValue:
     sigma = evaluate_word(w, g_perm, h_perm)
     cycles = sigma.cycles()
     defect = 0 if len(cycles) == 1 else len(cycles)
-    bound = 2 + (field.q * form.l) ** 0.5
-    if defect >= bound:
+    cap = _cycle_count_cap(form.l, field.q)
+    if defect > cap:
         raise AssertionError(
-            f"defect {defect} violates the 2 + sqrt(q*l) = {bound:.2f} bound"
+            f"defect {defect} violates the 2 + sqrt(q*l) bound: "
+            f"at most {cap} for q={field.q}, l={form.l}"
         )
-    assert max(len(c) for c in cycles) <= max_len
+    longest = max(len(c) for c in cycles)
+    if longest > max_len:
+        raise AssertionError(
+            f"cycle of length {longest} on the {max_len} points of the projective line"
+        )
     return NearCycleValue(
         sigma=sigma, field=field, g=g, h=h, g_perm=g_perm, h_perm=h_perm, defect=defect
     )

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import sympy
-
-from .ffield import make_field
+from .ffield import is_prime, make_field
 from .perms import Permutation, evaluate_word, hamming_distance
 from .sl2 import (
     IsotypicValue,
     NearCycleValue,
+    _cycle_count_cap,
     isotypic_word_value,
     near_cycle_word_value,
     solve_trace,
@@ -211,7 +210,7 @@ def _small_k_params(w: Word, form: SyllableForm, k: int) -> Tuple[int, int]:
         p = 0
         cand = need + 1
         while True:
-            if sympy.isprime(cand) and not _divides_exponent(cand, form):
+            if is_prime(cand) and not _divides_exponent(cand, form):
                 p = cand
                 break
             cand += need
@@ -226,9 +225,9 @@ def _small_k_params(w: Word, form: SyllableForm, k: int) -> Tuple[int, int]:
 def _large_k_prime(form: SyllableForm) -> int:
     key = (form.syllables,)
     if key not in _LARGE_PRIME:
-        p = sympy.nextprime(4 * form.l)
-        while _divides_exponent(p, form):
-            p = sympy.nextprime(p)
+        p = 4 * form.l + 1
+        while not is_prime(p) or _divides_exponent(p, form):
+            p += 1
         _LARGE_PRIME[key] = p
     return _LARGE_PRIME[key]
 
@@ -254,12 +253,6 @@ def _assemble(n: int, blocks: Sequence[Tuple[int, Permutation]]) -> Permutation:
         for j, im in enumerate(perm.images):
             images[offset + j] = offset + im
     return Permutation(images)
-
-
-def _cycle_count_cap(l: int, qi: int) -> int:
-    """Largest integer strictly below 2 + sqrt(l * q^i)."""
-    root = math.isqrt(l * qi)
-    return 1 + root if root * root == l * qi else 2 + root
 
 
 # -- isotypic targets --------------------------------------------------------
@@ -449,21 +442,7 @@ def approx_power_word(a: int, sigma: Permutation) -> Witness:
     """Witness for the word x^a against an arbitrary target."""
     if a < 1:
         raise ValueError("exponent must be positive")
-    word = Word((("x", a),))
-    tau, trace_blocks = _power_value(a, sigma)
-    ident = Permutation.identity(sigma.degree)
-    value = tau ** a
-    achieved = hamming_distance(sigma, value)
-    return Witness(
-        word=word,
-        g=tau,
-        h=ident,
-        value=value,
-        target=sigma,
-        achieved_distance=achieved,
-        bound_distance=achieved,
-        trace={"path": "power", "exponent": a, "blocks": trace_blocks},
-    )
+    return approx(Word((("x", a),)), sigma)
 
 
 def _power_witness(w: Word, form: SyllableForm, sigma: Permutation) -> Witness:

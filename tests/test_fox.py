@@ -1,9 +1,14 @@
 """Fox derivatives, membership chain, p_w, root counting, SU certificates."""
 
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import wordmetric
 from wordmetric.fox import (
     IN_F2PRIME_NOT_F2SECOND,
     IN_F2SECOND,
@@ -150,6 +155,28 @@ class TestRootCounting:
         with pytest.raises(ValueError):
             count_Wn(LaurentPoly1({}), 3)
 
+    def test_matches_numeric_root_count(self):
+        polys = [LaurentPoly1({0: -1, 2: 1}), LaurentPoly1({0: 2})]
+        for a in range(1, 6):
+            for b in range(1, 6):
+                polys.append(specialize_pw(parse_word(f"[x^{a},y^{b}]")))
+        rng = random.Random(2)
+        found = 0
+        while found < 20:
+            w = random_word(rng)
+            if w.cyclic_reduce().is_trivial():
+                continue
+            if derived_membership(w) == IN_F2PRIME_NOT_F2SECOND:
+                polys.append(specialize_pw(w))
+                found += 1
+        for p in polys:
+            exps = np.array(list(p.terms))
+            coeffs = np.array(list(p.terms.values()), dtype=float)
+            for n in range(1, 41):
+                roots = np.exp(2j * np.pi * np.arange(n) / n)
+                values = (coeffs * roots[:, None] ** exps).sum(axis=1)
+                assert count_Wn(p, n) == int(np.sum(np.abs(values) < 1e-9))
+
 
 class TestCertificates:
     def test_surjective(self):
@@ -184,3 +211,22 @@ class TestInvolutionConsistency:
             if w.abelianization() == (0, 0):
                 both_zero = dx.is_zero() and dy.is_zero()
                 assert both_zero == (derived_membership(w) == IN_F2SECOND)
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import wordmetric\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(wordmetric.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "['numpy', 'wordmetric']"

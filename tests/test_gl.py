@@ -15,7 +15,6 @@ from wordmetric.glapprox import (
     load_matrix,
     power_block_split,
     rank_distance,
-    rational_canonical_form,
     similarity_transform,
     store_matrix,
 )
@@ -74,19 +73,19 @@ class TestRankDistance:
 class TestRationalCanonicalForm:
     def test_identity(self):
         F = make_field(3, 1)
-        factors = rational_canonical_form(MatrixFq.identity(F, 2))
+        factors = MatrixFq.identity(F, 2).invariant_factors()
         assert [f.coeffs for f in factors] == [[2, 1], [2, 1]]  # (X-1, X-1)
 
     def test_companion_is_cyclic(self):
         F = make_field(3, 1)
         chi = FqPoly(F, [1, 0, 1])
-        factors = rational_canonical_form(frobenius_block(chi))
+        factors = frobenius_block(chi).invariant_factors()
         assert [f.coeffs for f in factors] == [[1, 0, 1]]
 
     def test_distinct_eigenvalues_are_cyclic(self):
         F = make_field(5, 1)
         a = MatrixFq(F, [[1, 0], [0, 2]])
-        factors = rational_canonical_form(a)
+        factors = a.invariant_factors()
         # (X-1)(X-2) = X^2 + 2X + 2 over F_5
         assert [f.coeffs for f in factors] == [[2, 2, 1]]
 
@@ -99,8 +98,8 @@ class TestRationalCanonicalForm:
                 a = random_invertible(F, n, rng)
                 s = random_invertible(F, n, rng)
                 conj = s.inverse() * a * s
-                assert [f.coeffs for f in rational_canonical_form(a)] == [
-                    f.coeffs for f in rational_canonical_form(conj)
+                assert [f.coeffs for f in a.invariant_factors()] == [
+                    f.coeffs for f in conj.invariant_factors()
                 ]
 
     def test_block_sum_recovers_factors(self):
@@ -110,7 +109,7 @@ class TestRationalCanonicalForm:
         chi1 = chain[0]
         chi2 = chi1 * FqPoly(F, [1, 1])
         block = MatrixFq.block_diag(F, [frobenius_block(chi1), frobenius_block(chi2)])
-        factors = rational_canonical_form(block)
+        factors = block.invariant_factors()
         assert [f.coeffs for f in factors] == [chi1.coeffs, chi2.coeffs]
 
 
@@ -125,7 +124,7 @@ class TestFrobeniusBlock:
     def test_characteristic_polynomial(self):
         F = make_field(5, 1)
         chi = FqPoly(F, [3, 1, 4, 1])
-        factors = rational_canonical_form(frobenius_block(chi))
+        factors = frobenius_block(chi).invariant_factors()
         assert [f.coeffs for f in factors] == [chi.coeffs]
 
 
