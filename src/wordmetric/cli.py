@@ -218,13 +218,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--target", default="random", help="random | cycle notation | file path")
     p_approx.add_argument("--seed", type=int, default=0)
     p_approx.add_argument("--out")
-    p_approx.add_argument("--format", choices=["json"], default="json")
 
     p_cert = sub.add_parser("su-cert", help="special-unitary surjectivity certificate")
     p_cert.add_argument("--word", required=True)
     p_cert.add_argument("--n", type=int, required=True)
     p_cert.add_argument("--out")
-    p_cert.add_argument("--format", choices=["json"], default="json")
 
     p_scan = sub.add_parser("density-scan", help="tabulate achieved distances over an n-grid")
     p_scan.add_argument("--word", required=True)
@@ -232,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--samples", default="20", help="targets per size, or 'all'")
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--out")
-    p_scan.add_argument("--format", choices=["csv"], default="csv")
     return parser
 
 
@@ -255,7 +252,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         samples=getattr(args, "samples", None),
         seed=getattr(args, "seed", 0),
         out=args.out,
-        format=args.format,
+        format="csv" if args.command == "density-scan" else "json",
     )
 
 

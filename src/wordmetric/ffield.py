@@ -13,6 +13,8 @@ import random
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
+from .words import power
+
 # -- integer helpers ---------------------------------------------------------
 
 
@@ -92,14 +94,9 @@ def _pmod_rem(a: List[int], m: List[int], p: int) -> List[int]:
 
 
 def _pmod_powmod(base: List[int], exp: int, m: List[int], p: int) -> List[int]:
-    result = [1]
-    base = _pmod_rem(base, m, p)
-    while exp:
-        if exp & 1:
-            result = _pmod_rem(_pmod_mul(result, base, p), m, p)
-        base = _pmod_rem(_pmod_mul(base, base, p), m, p)
-        exp >>= 1
-    return result
+    return power(
+        _pmod_rem(base, m, p), exp, [1], lambda a, b: _pmod_rem(_pmod_mul(a, b, p), m, p)
+    )
 
 
 def _pmod_gcd(a: List[int], b: List[int], p: int) -> List[int]:
@@ -253,14 +250,7 @@ class Field:
             return self.pow(self.inv(a), -n)
         if a == 0:
             return 0 if n > 0 else 1
-        n %= self.q - 1
-        result = 1
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+        return power(a, n % (self.q - 1), 1, self.mul)
 
     # tables, orders, generators
 
@@ -442,14 +432,9 @@ class FqPoly:
         return a.monic()
 
     def powmod(self, n: int, modulus: "FqPoly") -> "FqPoly":
-        result = FqPoly(self.field, [1])
-        base = self % modulus
-        while n:
-            if n & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            n >>= 1
-        return result
+        return power(
+            self % modulus, n, FqPoly(self.field, [1]), lambda a, b: (a * b) % modulus
+        )
 
     def evaluate(self, a: int) -> int:
         F = self.field
@@ -515,11 +500,11 @@ def embedding(small_key: Tuple[int, int], big_key: Tuple[int, int]):
     table = [0] * small.q
     for a in range(small.q):
         acc = 0
-        power = 1
+        root_power = 1
         for c in small.coeffs(a):
             if c:
-                acc = big.add(acc, big.mul(c % big.p, power))
-            power = big.mul(power, root)
+                acc = big.add(acc, big.mul(c % big.p, root_power))
+            root_power = big.mul(root_power, root)
         table[a] = acc
     return table
 

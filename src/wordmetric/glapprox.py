@@ -21,8 +21,33 @@ from .cayley import FiniteQuotient, build_d2, smith_normal_form
 from .ffield import Field, FqPoly, make_field
 from .perms import Permutation
 from .symmetric import Witness, approx
-from .words import Word, classify
+from .words import Word, classify, evaluate, power
 from . import symmetric as _symmetric
+
+
+def _rref(field: Field, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Reduced row echelon form over the field, with its pivot columns."""
+    F = field
+    mat = [list(r) for r in rows]
+    m = len(mat)
+    ncols = len(mat[0]) if m else 0
+    pivots: List[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == m:
+            break
+        pivot = next((i for i in range(rank, m) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = F.inv(mat[rank][col])
+        mat[rank] = [F.mul(inv, e) for e in mat[rank]]
+        for i in range(m):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    return mat, pivots
 
 
 class MatrixFq:
@@ -125,55 +150,20 @@ class MatrixFq:
     def __pow__(self, e: int) -> "MatrixFq":
         if e < 0:
             return self.inverse() ** (-e)
-        result = MatrixFq.identity(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, MatrixFq.identity(self.field, self.n))
 
     def rank(self) -> int:
-        F = self.field
-        mat = [list(r) for r in self.rows]
-        rank = 0
-        col = 0
-        nrows, ncols = len(mat), self.ncols
-        while rank < nrows and col < ncols:
-            pivot = next((i for i in range(rank, nrows) if mat[i][col]), None)
-            if pivot is None:
-                col += 1
-                continue
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            inv = F.inv(mat[rank][col])
-            mat[rank] = [F.mul(inv, e) for e in mat[rank]]
-            for i in range(nrows):
-                if i != rank and mat[i][col]:
-                    f = mat[i][col]
-                    mat[i] = [
-                        F.sub(a, F.mul(f, b)) for a, b in zip(mat[i], mat[rank])
-                    ]
-            rank += 1
-            col += 1
-        return rank
+        return len(_rref(self.field, self.rows)[1])
 
     def inverse(self) -> "MatrixFq":
-        F = self.field
         n = self.n
-        mat = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if mat[i][col]), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            inv = F.inv(mat[col][col])
-            mat[col] = [F.mul(inv, e) for e in mat[col]]
-            for i in range(n):
-                if i != col and mat[i][col]:
-                    f = mat[i][col]
-                    mat[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(mat[i], mat[col])]
-        return MatrixFq(F, [row[n:] for row in mat])
+        augmented = [
+            list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)
+        ]
+        mat, pivots = _rref(self.field, augmented)
+        if pivots[:n] != list(range(n)):
+            raise ValueError("matrix is singular")
+        return MatrixFq(self.field, [row[n:] for row in mat])
 
     def is_invertible(self) -> bool:
         return self.n == self.ncols and self.rank() == self.n
@@ -207,11 +197,7 @@ class MatrixFq:
 
 
 def evaluate_word_matrix(w: Word, g: MatrixFq, h: MatrixFq) -> MatrixFq:
-    value = MatrixFq.identity(g.field, g.n)
-    for gen, exp in w.letters:
-        base = g if gen == "x" else h
-        value = value * (base ** exp)
-    return value
+    return evaluate(w, g, h, MatrixFq.identity(g.field, g.n))
 
 
 def rank_distance(a: MatrixFq, b: MatrixFq) -> Fraction:
@@ -381,32 +367,16 @@ def power_block_split(chi: FqPoly, c: int) -> PowerBlockCertificate:
 
 def _nullspace_mod_field(field: Field, rows: List[List[int]]) -> List[List[int]]:
     """Basis of the right nullspace of a matrix over the field."""
-    F = field
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    mat = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, m) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = F.inv(mat[rank][col])
-        mat[rank] = [F.mul(inv, e) for e in mat[rank]]
-        for i in range(m):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    mat, pivots = _rref(field, rows)
+    ncols = len(rows[0]) if rows else 0
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [0] * ncols
         vec[fc] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = F.neg(mat[r][fc])
+            vec[pc] = field.neg(mat[r][fc])
         basis.append(vec)
     return basis
 
@@ -566,28 +536,21 @@ def _solve_units(
     u, d, v = smith_normal_form(m)
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    one = FqPoly(modulus.field, [1])
 
     def unit_power(f: FqPoly, e: int) -> FqPoly:
         if e < 0:
             f = _unit_inverse(f, modulus, units)
             e = -e
-        result = FqPoly(modulus.field, [1])
-        base = f
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
+        return power(f, e, one, lambda a, b: (a * b) % modulus)
 
     ut = []
     for i in range(rows):
-        acc = FqPoly(modulus.field, [1])
+        acc = one
         for j in range(rows):
             if u[i][j]:
                 acc = (acc * unit_power(target[j], u[i][j])) % modulus
         ut.append(acc)
-    one = FqPoly(modulus.field, [1])
     eta = [one] * cols
     for i in range(rows):
         dii = d[i][i] if i < min(rows, cols) else 0

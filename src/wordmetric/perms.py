@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .words import Word
+from .words import Word, evaluate, power
 
 
 class Permutation:
@@ -62,14 +62,7 @@ class Permutation:
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Permutation.identity(self.degree))
 
     def cycles(self) -> List[List[int]]:
         """Cycle decomposition, fixed points included, cycles sorted by min."""
@@ -121,11 +114,7 @@ def hamming_distance(s: Permutation, t: Permutation) -> Fraction:
 def evaluate_word(w: Word, g: Permutation, h: Permutation) -> Permutation:
     if g.degree != h.degree:
         raise ValueError("mismatched degrees")
-    value = Permutation.identity(g.degree)
-    for gen, exp in w.letters:
-        base = g if gen == "x" else h
-        value = value * (base ** exp)
-    return value
+    return evaluate(w, g, h, Permutation.identity(g.degree))
 
 
 def cycle_notation(s: Permutation) -> str:

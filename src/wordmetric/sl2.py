@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from .ffield import Field, FqPoly, embed, make_field, min_extension_root, element_of_order
 from .perms import Permutation, evaluate_word
-from .words import Word, SyllableForm, classify
+from .words import Word, SyllableForm, classify, evaluate, power
 
 
 class SL2Elem:
@@ -61,14 +61,7 @@ class SL2Elem:
     def __pow__(self, n: int) -> "SL2Elem":
         if n < 0:
             return self.inverse() ** (-n)
-        result = SL2Elem.identity(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, SL2Elem.identity(self.field))
 
     def trace(self) -> int:
         return self.field.add(self.a, self.d)
@@ -104,11 +97,7 @@ class SL2Elem:
 
 
 def evaluate_word_sl2(w: Word, g: SL2Elem, h: SL2Elem) -> SL2Elem:
-    value = SL2Elem.identity(g.field)
-    for gen, exp in w.letters:
-        base = g if gen == "x" else h
-        value = value * (base ** exp)
-    return value
+    return evaluate(w, g, h, SL2Elem.identity(g.field))
 
 
 class ProjLine:
@@ -373,7 +362,6 @@ def near_cycle_word_value(w: Word, field: Field) -> NearCycleValue:
     if field.q <= 4 * form.l:
         raise ValueError(f"need q > 4l = {4 * form.l}, got q = {field.q}")
     best: Optional[Tuple[int, int]] = None  # (cycle_count, parameter)
-    max_len = field.q + 1
     for u in range(1, field.q):
         g_std, h_std = _unipotent_pair(field, u)
         g_u, h_u = (h_std, g_std) if form.swapped else (g_std, h_std)
@@ -401,11 +389,6 @@ def near_cycle_word_value(w: Word, field: Field) -> NearCycleValue:
         raise AssertionError(
             f"defect {defect} violates the 2 + sqrt(q*l) bound: "
             f"at most {cap} for q={field.q}, l={form.l}"
-        )
-    longest = max(len(c) for c in cycles)
-    if longest > max_len:
-        raise AssertionError(
-            f"cycle of length {longest} on the {max_len} points of the projective line"
         )
     return NearCycleValue(
         sigma=sigma, field=field, g=g, h=h, g_perm=g_perm, h_perm=h_perm, defect=defect

@@ -323,15 +323,14 @@ def approx_isotypic(w: Word, k: int, c_k: int) -> Witness:
     except (ValueError, AssertionError):
         pass
     p_large = _large_k_prime(form)
-    if p_large > 4 * form.l:
-        dec_large = greedy_decomposition(n, p_large)
-        plans.append(
-            (
-                _large_k_bound(dec_large, n, c_k, form.l),
-                "near-cycle-blocks",
-                (p_large, dec_large),
-            )
+    dec_large = greedy_decomposition(n, p_large)
+    plans.append(
+        (
+            _large_k_bound(dec_large, n, c_k, form.l),
+            "near-cycle-blocks",
+            (p_large, dec_large),
         )
+    )
     plans.sort(key=lambda item: item[0])
     last_error: Optional[Exception] = None
     for bound, path, params in plans:

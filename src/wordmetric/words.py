@@ -7,6 +7,7 @@ right-action convention is used throughout the package: a word evaluated at
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
@@ -262,6 +263,35 @@ class _Parser:
 def parse_word(text: str) -> Word:
     """Parse a word from text; the empty string is the trivial word."""
     return _Parser(text).parse()
+
+
+# -- evaluation in any group -------------------------------------------------
+
+
+def power(x, n: int, one, mul=operator.mul):
+    """x^n for n >= 0 by square-and-multiply; ``one`` is the identity.
+
+    The base is not squared after the last bit of n.
+    """
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
+
+
+def evaluate(w: Word, g, h, one):
+    """w(g, h): the letters of w multiplied left to right, starting at one.
+
+    g and h need ``*`` and ``**`` with integer (also negative) exponents.
+    """
+    value = one
+    for gen, exp in w.letters:
+        value = value * ((g if gen == "x" else h) ** exp)
+    return value
 
 
 # -- lower central series degree via the Magnus expansion --------------------

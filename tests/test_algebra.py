@@ -1,0 +1,183 @@
+"""The shared algebra helpers: square-and-multiply, word evaluation, and
+Gauss-Jordan elimination over F_q."""
+
+import random
+
+import pytest
+
+from wordmetric.ffield import FqPoly, make_field
+from wordmetric.glapprox import (
+    MatrixFq,
+    _nullspace_mod_field,
+    _rref,
+    evaluate_word_matrix,
+)
+from wordmetric.perms import Permutation, evaluate_word
+from wordmetric.sl2 import SL2Elem, evaluate_word_sl2
+from wordmetric.words import evaluate, parse_word, power
+
+EXPONENTS = range(21)
+
+
+def repeated(x, n, one, mul=lambda a, b: a * b):
+    acc = one
+    for _ in range(n):
+        acc = mul(acc, x)
+    return acc
+
+
+def random_permutation(n, rng):
+    images = list(range(n))
+    rng.shuffle(images)
+    return Permutation(images)
+
+
+def random_sl2(field, rng):
+    while True:
+        a, b, c = (rng.randrange(field.q) for _ in range(3))
+        if a:
+            # d = (1 + b c) / a makes the determinant 1
+            d = field.mul(field.add(1, field.mul(b, c)), field.inv(a))
+            return SL2Elem(field, a, b, c, d)
+
+
+def random_invertible(field, n, rng):
+    while True:
+        m = MatrixFq(field, [[rng.randrange(field.q) for _ in range(n)] for _ in range(n)])
+        if m.is_invertible():
+            return m
+
+
+def group_samples():
+    rng = random.Random(11)
+    F4 = make_field(2, 2)
+    return [
+        (random_permutation(9, rng), Permutation.identity(9)),
+        (random_sl2(make_field(7, 1), rng), SL2Elem.identity(make_field(7, 1))),
+        (random_sl2(make_field(3, 2), rng), SL2Elem.identity(make_field(3, 2))),
+        (random_invertible(F4, 3, rng), MatrixFq.identity(F4, 3)),
+    ]
+
+
+class TestPower:
+    @pytest.mark.parametrize("index", range(4))
+    def test_group_powers_match_repeated_multiplication(self, index):
+        x, one = group_samples()[index]
+        for n in EXPONENTS:
+            expected = repeated(x, n, one)
+            assert x ** n == expected
+            assert power(x, n, one) == expected
+            assert x ** -n == repeated(x.inverse(), n, one)
+
+    def test_multiplication_count(self):
+        # one product per set bit plus one squaring per bit after the first;
+        # the base is never squared after the last bit
+        calls = []
+
+        def mul(a, b):
+            calls.append(None)
+            return a + b
+
+        for n in range(1, 200):
+            calls.clear()
+            assert power(1, n, 0, mul) == n
+            assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+        calls.clear()
+        assert power(5, 0, 0, mul) == 0 and not calls
+
+    @pytest.mark.parametrize("p,e", [(7, 1), (3, 2), (2, 4), (2, 18)])
+    def test_field_pow(self, p, e):
+        # (2, 18) lies past the log-table limit, so it multiplies by _mul_slow
+        F = make_field(p, e)
+        rng = random.Random(p * 100 + e)
+        for a in [0, 1] + [rng.randrange(2, F.q) for _ in range(4)]:
+            for n in EXPONENTS:
+                assert F.pow(a, n) == repeated(a, n, 1, F.mul)
+        assert F.pow(0, 0) == 1
+        a = rng.randrange(1, F.q)
+        assert F.pow(a, F.q - 1) == 1
+        assert F.mul(F.pow(a, -3), F.pow(a, 3)) == 1
+
+    def test_fqpoly_powmod(self):
+        F = make_field(2, 2)
+        rng = random.Random(12)
+        for _ in range(5):
+            modulus = FqPoly(F, [rng.randrange(F.q) for _ in range(3)] + [1])
+            f = FqPoly(F, [rng.randrange(F.q) for _ in range(rng.randint(1, 6))])
+            for n in EXPONENTS:
+                expected = repeated(
+                    f % modulus, n, FqPoly(F, [1]), lambda a, b: (a * b) % modulus
+                )
+                assert f.powmod(n, modulus) == expected
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("text", ["x", "y^-3", "[x,y]", "x^2 y^-1 x^3 y^4", "[[x,y],x]"])
+    def test_letters_multiply_left_to_right(self, text):
+        w = parse_word(text)
+        rng = random.Random(13)
+        F = make_field(5, 1)
+        cases = [
+            (evaluate_word, random_permutation(7, rng), random_permutation(7, rng)),
+            (evaluate_word_sl2, random_sl2(F, rng), random_sl2(F, rng)),
+            (evaluate_word_matrix, random_invertible(F, 3, rng), random_invertible(F, 3, rng)),
+        ]
+        for evaluator, g, h in cases:
+            one = g ** 0
+            expected = one
+            for gen, step in w.unit_letters():
+                base = g if gen == "x" else h
+                expected = expected * (base if step == 1 else base.inverse())
+            assert evaluator(w, g, h) == expected
+            assert evaluate(w, g, h, one) == expected
+
+
+def random_rows(field, m, n, rng):
+    rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(m)]
+    if m >= 3 and rng.random() < 0.5:
+        # force a dependency: last row = c * row 0 + row 1
+        c = rng.randrange(field.q)
+        rows[-1] = [field.add(field.mul(c, a), b) for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+class TestRref:
+    def test_reduced_form_rank_and_nullspace(self, p, e):
+        F = make_field(p, e)
+        rng = random.Random(p * 10 + e)
+        for _ in range(40):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            rows = random_rows(F, m, n, rng)
+            mat, pivots = _rref(F, rows)
+            rank = len(pivots)
+            assert pivots == sorted(set(pivots))
+            for r, c in enumerate(pivots):
+                assert [mat[i][c] for i in range(m)] == [int(i == r) for i in range(m)]
+                assert not any(mat[r][:c])
+            assert all(not any(row) for row in mat[rank:])
+            assert MatrixFq(F, rows).rank() == rank
+            basis = _nullspace_mod_field(F, rows)
+            assert rank + len(basis) == n
+            a = MatrixFq(F, rows)
+            for v in basis:
+                assert not any(x for (x,) in (a * MatrixFq(F, [[c] for c in v])).rows)
+            if basis:
+                assert MatrixFq(F, basis).rank() == len(basis)
+
+    def test_inverse_or_singular(self, p, e):
+        F = make_field(p, e)
+        rng = random.Random(p * 20 + e)
+        seen = set()
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            a = MatrixFq(F, random_rows(F, n, n, rng))
+            if a.rank() == n:
+                seen.add("invertible")
+                assert a.inverse() * a == MatrixFq.identity(F, n)
+                assert a * a.inverse() == MatrixFq.identity(F, n)
+            else:
+                seen.add("singular")
+                with pytest.raises(ValueError):
+                    a.inverse()
+        assert seen == {"invertible", "singular"}

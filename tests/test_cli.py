@@ -34,6 +34,7 @@ class TestApproxSym:
         record = json.loads(out.read_text())
         assert record["schema"] == 1
         assert record["config"]["word"] == "[x,y]"
+        assert record["config"]["format"] == "json"
         result = record["result"]
         from fractions import Fraction
 

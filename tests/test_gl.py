@@ -165,6 +165,35 @@ class TestSimilarityTransform:
             assert s.is_invertible()
             assert s * a == b * s
 
+    def test_exact_transform_is_pinned(self):
+        # the GL witnesses and the benchmark digests depend on the exact S,
+        # not only on S*A = B*S.  Seed 45 takes a random combination of the
+        # nullspace basis, seed 42 its first invertible basis vector.
+        cases = [
+            (45, 2, 4, [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 1]]),
+            (
+                42,
+                3,
+                5,
+                [
+                    [2, 0, 2, 0, 2],
+                    [1, 0, 0, 2, 1],
+                    [1, 0, 0, 2, 0],
+                    [0, 0, 2, 0, 2],
+                    [0, 1, 0, 0, 0],
+                ],
+            ),
+        ]
+        for seed, p, n, expected in cases:
+            F = make_field(p, 1)
+            rng = random.Random(seed)
+            a = random_invertible(F, n, rng)
+            conj = random_invertible(F, n, rng)
+            b = conj.inverse() * a * conj
+            s = similarity_transform(a, b)
+            assert [list(row) for row in s.rows] == expected
+            assert s * a == b * s
+
     def test_dissimilar_rejected(self):
         F = make_field(3, 1)
         a = MatrixFq.identity(F, 2)
