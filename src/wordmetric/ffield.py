@@ -443,17 +443,6 @@ class FqPoly:
             acc = F.add(F.mul(acc, a), c)
         return acc
 
-    def derivative(self) -> "FqPoly":
-        F = self.field
-        out = []
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            scalar = i % F.p
-            acc = 0
-            for _ in range(scalar):
-                acc = F.add(acc, c)
-            out.append(acc)
-        return FqPoly(F, out)
-
     def map_coeffs(self, func, target: Field) -> "FqPoly":
         return FqPoly(target, [func(c) for c in self.coeffs])
 

@@ -75,11 +75,6 @@ class MatrixFq:
         return MatrixFq(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def zeros(field: Field, n: int, m: Optional[int] = None) -> "MatrixFq":
-        m = n if m is None else m
-        return MatrixFq(field, [[0] * m for _ in range(n)])
-
-    @staticmethod
     def permutation(field: Field, perm: Permutation) -> "MatrixFq":
         """0/1 matrix with row v supported at perm(v) (right action)."""
         n = perm.degree
@@ -168,25 +163,10 @@ class MatrixFq:
     def is_invertible(self) -> bool:
         return self.n == self.ncols and self.rank() == self.n
 
-    def char_matrix(self) -> List[List[FqPoly]]:
-        """X*I - A as a polynomial matrix."""
-        F = self.field
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                coeffs = [F.neg(self.rows[i][j])]
-                if i == j:
-                    coeffs.append(1)
-                row.append(FqPoly(F, coeffs))
-            out.append(row)
-        return out
-
     def invariant_factors(self) -> Tuple[FqPoly, ...]:
-        """Nonconstant diagonal entries of the Smith form of X*I - A."""
+        """Invariant factors s_1 | s_2 | ... of A, the moduli of its rational canonical form."""
         if self._invariant_factors is None:
-            diag = _poly_smith_diagonal(self.char_matrix())
-            factors = tuple(d for d in diag if d.degree >= 1)
+            factors = _invariant_factors(self)
             if sum(f.degree for f in factors) != self.n:
                 raise AssertionError("invariant factor degrees do not sum to n")
             self._invariant_factors = factors
@@ -237,63 +217,66 @@ def load_matrix(text: str) -> MatrixFq:
     return MatrixFq(field, rows)
 
 
-# -- polynomial-matrix Smith form --------------------------------------------
+# -- invariant factors from Krylov spaces ------------------------------------
 
 
-def _poly_smith_diagonal(mat: List[List[FqPoly]]) -> List[FqPoly]:
-    """Diagonal of the Smith normal form over F_q[X], monic-normalized."""
-    m = len(mat)
-    ncols = len(mat[0]) if m else 0
-    t = 0
-    while t < min(m, ncols):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, ncols):
-                e = mat[i][j]
-                if not e.is_zero() and (
-                    pivot is None or e.degree < mat[pivot[0]][pivot[1]].degree
-                ):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        mat[t], mat[pivot[0]] = mat[pivot[0]], mat[t]
-        if pivot[1] != t:
-            for row in mat:
-                row[t], row[pivot[1]] = row[pivot[1]], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if not mat[i][t].is_zero():
-                    q, _ = mat[i][t].divmod(mat[t][t])
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[t])]
-                    if not mat[i][t].is_zero():
-                        mat[t], mat[i] = mat[i], mat[t]
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if not mat[t][j].is_zero():
-                    q, _ = mat[t][j].divmod(mat[t][t])
-                    for row in mat:
-                        row[j] = row[j] - q * row[t]
-                    if not mat[t][j].is_zero():
-                        for row in mat:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, ncols):
-                    _, r = mat[i][j].divmod(mat[t][t])
-                    if not r.is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            mat[t] = [a + b for a, b in zip(mat[t], mat[offender])]
-        t += 1
-    return [mat[i][i].monic() for i in range(min(m, ncols)) if not mat[i][i].is_zero()]
+def _krylov(a: MatrixFq, v: Sequence[int], m: int) -> List[Sequence[int]]:
+    """The rows v, vA, ..., vA^(m-1)."""
+    rows = [v]
+    for _ in range(m - 1):
+        rows.append((MatrixFq(a.field, [rows[-1]]) * a).rows[0])
+    return rows
+
+
+def _apply(f: FqPoly, v: Sequence[int], a: MatrixFq) -> List[int]:
+    """The row vector v*f(A), the sum of f_i * vA^i."""
+    F = a.field
+    acc = [0] * a.n
+    for c, row in zip(f.coeffs, _krylov(a, v, len(f.coeffs))):
+        acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, row)]
+    return acc
+
+
+def _invariant_factors(a: MatrixFq) -> Tuple[FqPoly, ...]:
+    """Invariant factors of A, the largest last.
+
+    A vector whose minimal polynomial f is that of A spans a cyclic subspace
+    that is a direct summand, so the other factors are those of A acting on
+    the quotient (Giesbrecht, SIAM J. Comput. 1995; Storjohann, ISSAC 1998).
+    """
+    F, n = a.field, a.n
+    if n == 0:
+        return ()
+    unit = MatrixFq.identity(F, n).rows
+    v, f = [0] * n, FqPoly(F, [1])
+    for e in unit:
+        if not any(_apply(f, e, a)):  # the minimal polynomial of e divides f
+            continue
+        # the minimal polynomial g of e: the first r Krylov rows are
+        # independent, and column r of the reduced transpose writes eA^r
+        # in terms of them
+        mat, pivots = _rref(F, list(zip(*_krylov(a, e, n + 1))))
+        r = len(pivots)
+        g = FqPoly(F, [F.neg(row[r]) for row in mat[:r]] + [1])
+        # lcm(f, g) = f1 * g1 with f1 | f and g1 | g coprime; v*(f/f1)(A) has
+        # minimal polynomial f1, e*(g/g1)(A) has g1, and their sum f1 * g1
+        f1, g1 = f, g // f.gcd(g)
+        d = f1.gcd(g1)
+        while d.degree > 0:
+            f1, g1 = f1 // d, g1 * d
+            d = f1.gcd(g1)
+        v = [F.add(x, y) for x, y in zip(_apply(f // f1, v, a), _apply(g // g1, e, a))]
+        f = f1 * g1
+        if f.degree == n:
+            return (f,)
+    # in the basis of the Krylov rows of v and the unit rows off their
+    # pivots, A is block triangular and its lower right block is the quotient
+    r = f.degree
+    krylov = _krylov(a, v, r)
+    pivots = _rref(F, krylov)[1]
+    p = MatrixFq(F, krylov + [unit[j] for j in range(n) if j not in pivots])
+    m = p * a * p.inverse()
+    return _invariant_factors(MatrixFq(F, [row[r:] for row in m.rows[r:]])) + (f,)
 
 
 # -- Frobenius blocks --------------------------------------------------------
@@ -417,7 +400,7 @@ def similarity_transform(a: MatrixFq, b: MatrixFq, seed: int = 0) -> MatrixFq:
             if coef:
                 vec = [F.add(v, F.mul(coef, e)) for v, e in zip(vec, bvec)]
         s = to_matrix(vec)
-        if s.rows != MatrixFq.zeros(F, n).rows and s.is_invertible():
+        if s.is_invertible():
             return s
     raise ValueError("matrices are not similar (no invertible intertwiner found)")
 

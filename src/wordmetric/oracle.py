@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import FrozenSet, Iterator, List, Optional, Tuple
 
 from .ffield import Field
-from .glapprox import MatrixFq, evaluate_word_matrix
+from .glapprox import MatrixFq, evaluate_word_matrix, rank_distance
 from .perms import Permutation, evaluate_word, hamming_distance
 from .words import Word
 
@@ -149,18 +149,18 @@ def word_image_matrix(
         raise ValueError(f"|GL_{d}({field.q})| = {order} exceeds {MATRIX_GROUP_LIMIT}")
     elements = _all_gl_elements(field, d)
     group = f"GL_{d}({field.q})"
-    classes = set()
-    if order * order <= MATRIX_EXHAUSTIVE_LIMIT:
-        for g in elements:
-            for h in elements:
-                classes.add(_matrix_class(evaluate_word_matrix(w, g, h)))
-        return ImageReport(group=group, classes=frozenset(classes), exhaustive=True)
-    rng = random.Random(seed)
-    for _ in range(budget):
-        g = rng.choice(elements)
-        h = rng.choice(elements)
-        classes.add(_matrix_class(evaluate_word_matrix(w, g, h)))
-    return ImageReport(group=group, classes=frozenset(classes), exhaustive=False, seed=seed)
+    exhaustive = order * order <= MATRIX_EXHAUSTIVE_LIMIT
+    if exhaustive:
+        pairs = itertools.product(elements, repeat=2)
+    else:
+        rng = random.Random(seed)
+        pairs = ((rng.choice(elements), rng.choice(elements)) for _ in range(budget))
+    # many pairs give the same value, so each distinct value is classified once
+    values = {evaluate_word_matrix(w, g, h) for g, h in pairs}
+    classes = frozenset(_matrix_class(m) for m in values)
+    return ImageReport(
+        group=group, classes=classes, exhaustive=exhaustive, seed=None if exhaustive else seed
+    )
 
 
 def exact_distance_matrix(
@@ -171,8 +171,6 @@ def exact_distance_matrix(
     Pass a precomputed report when ranging over many targets; the image
     enumeration dominates the cost otherwise.
     """
-    from .glapprox import rank_distance
-
     d = target.n
     field = target.field
     if report is None:

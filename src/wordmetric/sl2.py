@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .ffield import Field, FqPoly, embed, make_field, min_extension_root, element_of_order
+from .ffield import (
+    Field, FqPoly, element_of_order, embed, factorize, make_field, min_extension_root,
+)
 from .perms import Permutation, evaluate_word
 from .words import Word, SyllableForm, classify, evaluate, power
 
@@ -78,8 +80,6 @@ class SL2Elem:
         for bound in (F.q - 1, F.q + 1, 2 * F.p):
             if bound > 0 and (self ** bound) == SL2Elem.identity(F):
                 order = bound
-                from .ffield import factorize
-
                 for r in factorize(bound):
                     while order % r == 0 and (self ** (order // r)) == SL2Elem.identity(F):
                         order //= r

@@ -1,10 +1,15 @@
 """Rank metric, rational canonical form, Frobenius-block identities, GL witnesses."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import wordmetric
 from wordmetric.ffield import FqPoly, make_field
 from wordmetric.glapprox import (
     MatrixFq,
@@ -29,6 +34,19 @@ def random_invertible(field, n, rng):
         )
         if m.is_invertible():
             return m
+
+
+def random_monic(field, degree, rng):
+    return FqPoly(field, [rng.randrange(field.q) for _ in range(degree)] + [1])
+
+
+def poly_at(f, a):
+    """f(A) by Horner's rule."""
+    F, n = a.field, a.n
+    acc = MatrixFq(F, [[0] * n for _ in range(n)])
+    for c in reversed(f.coeffs):
+        acc = acc * a + MatrixFq(F, [[c if i == j else 0 for j in range(n)] for i in range(n)])
+    return acc
 
 
 def random_permutation(n, rng):
@@ -111,6 +129,59 @@ class TestRationalCanonicalForm:
         block = MatrixFq.block_diag(F, [frobenius_block(chi1), frobenius_block(chi2)])
         factors = block.invariant_factors()
         assert [f.coeffs for f in factors] == [chi1.coeffs, chi2.coeffs]
+
+    @pytest.mark.parametrize(
+        "n, seed, expected",
+        [
+            (13, 13002, [[1, 1], [1, 1], [1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1]]),
+            (14, 14003, [[1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1]]),
+        ],
+    )
+    def test_former_hang_matrices(self, n, seed, expected):
+        # a Smith form of the polynomial matrix X*I - A doubled its degrees
+        # on every pass for these draws and never finished, so they run in a
+        # child process under a time bound
+        F = make_field(2, 1)
+        a = random_invertible(F, n, random.Random(seed))
+        code = (
+            "import json, sys\n"
+            "from wordmetric.ffield import make_field\n"
+            "from wordmetric.glapprox import MatrixFq\n"
+            "a = MatrixFq(make_field(2, 1), json.loads(sys.argv[1]))\n"
+            "print(json.dumps([f.coeffs for f in a.invariant_factors()]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(wordmetric.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(a.rows)],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=30,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert json.loads(out.stdout) == expected
+        # A is similar to the sum of the companion blocks of the s_j, so
+        # rank g(A) = n - sum_j deg gcd(g, s_j) for every polynomial g
+        factors = [FqPoly(F, c) for c in expected]
+        for g in factors + [FqPoly(F, [0, 1]), FqPoly(F, [1, 1])]:
+            nullity = sum(g.gcd(s).degree for s in factors)
+            assert poly_at(g, a).rank() == n - nullity
+
+    def test_random_chains_are_recovered(self):
+        rng = random.Random(8)
+        for p, e in ((2, 1), (3, 1), (2, 2), (5, 1)):
+            F = make_field(p, e)
+            for _ in range(25):
+                chain = [random_monic(F, rng.randint(1, 3), rng)]
+                while rng.random() < 0.7:
+                    step = random_monic(F, rng.randint(0, 2), rng)
+                    if sum(s.degree for s in chain) + chain[-1].degree + step.degree > 10:
+                        break
+                    chain.append(chain[-1] * step)
+                block = MatrixFq.block_diag(F, [frobenius_block(s) for s in chain])
+                conj = random_invertible(F, block.n, rng)
+                a = conj.inverse() * block * conj
+                assert [f.coeffs for f in a.invariant_factors()] == [s.coeffs for s in chain]
 
 
 class TestFrobeniusBlock:

@@ -2,6 +2,8 @@
 
 import ast
 import os
+import subprocess
+import sys
 
 import wordmetric
 
@@ -21,3 +23,36 @@ def test_no_bare_assert_in_package():
             f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert not found, f"bare assert in the package: {found}"
+
+
+def _run(args):
+    src = os.path.dirname(os.path.dirname(wordmetric.__file__))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+
+
+def test_optimized_interpreter_prints_the_same_bytes():
+    # python -O strips asserts and sets __debug__ false; no output may change
+    gl = (
+        "import random\n"
+        "from wordmetric.ffield import make_field\n"
+        "from wordmetric.glapprox import MatrixFq, approx_gl\n"
+        "from wordmetric.words import parse_word\n"
+        "F, rng = make_field(3, 1), random.Random(6)\n"
+        "while True:\n"
+        "    a = MatrixFq(F, [[rng.randrange(3) for _ in range(6)] for _ in range(6)])\n"
+        "    if a.is_invertible():\n"
+        "        break\n"
+        "wit = approx_gl(parse_word('[x,y]'), a)\n"
+        "print(wit.g.rows)\n"
+        "print(wit.h.rows)\n"
+    )
+    cli = ["-m", "wordmetric.cli", "approx-sym", "--word", "[x,y]", "--n", "300", "--seed", "1"]
+    for args in (cli, ["-c", gl]):
+        plain = _run(args)
+        assert plain
+        assert _run(["-O", *args]) == plain
