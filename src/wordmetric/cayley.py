@@ -419,7 +419,6 @@ def width_two_shift(
     u2: Sequence[Sequence[Fraction]],
     n: int,
     seed: int = 0,
-    max_tries: int = 2000,
 ) -> Permutation:
     """A permutation sigma with U1 + U2.sigma spanning the whole zero-sum
     hyperplane of rational n-space.
@@ -444,7 +443,7 @@ def width_two_shift(
         return len(_row_reduce_pivot_rows(combined)) == n - 1
 
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(2000):
         images = list(range(n))
         rng.shuffle(images)
         sigma = Permutation(images)

@@ -189,9 +189,6 @@ class Field:
             val = val * self.p + c % self.p
         return val
 
-    def elements(self):
-        return range(self.q)
-
     # arithmetic
 
     def add(self, a: int, b: int) -> int:
@@ -506,7 +503,7 @@ def embed(small: Field, big: Field):
     return lambda a: table[a]
 
 
-def find_any_root(f: FqPoly, rng: Optional[random.Random] = None) -> Optional[int]:
+def find_any_root(f: FqPoly) -> Optional[int]:
     """A root of f in its own field, or None.
 
     Exhaustive scan for small fields; Cantor-Zassenhaus equal-degree
@@ -526,8 +523,7 @@ def find_any_root(f: FqPoly, rng: Optional[random.Random] = None) -> Optional[in
     linear = FqPoly.x_pow_minus_x(F, F.q, f).gcd(f)
     if linear.degree < 1:
         return None
-    if rng is None:
-        rng = random.Random(0xF1E1D ^ F.q ^ hash(tuple(f.coeffs)) & 0xFFFFFFFF)
+    rng = random.Random(0xF1E1D ^ F.q ^ hash(tuple(f.coeffs)) & 0xFFFFFFFF)
     g = linear
     while g.degree > 1:
         r = rng.randrange(F.q)

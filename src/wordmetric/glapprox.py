@@ -15,14 +15,13 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cayley import FiniteQuotient, build_d2, smith_normal_form
 from .ffield import Field, FqPoly, make_field
 from .perms import Permutation
 from .symmetric import Witness, approx
 from .words import Word, classify, evaluate, power
-from . import symmetric as _symmetric
 
 
 def _rref(field: Field, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
@@ -53,13 +52,14 @@ def _rref(field: Field, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]],
 class MatrixFq:
     """Square or rectangular matrix over a Field; rows of encoded elements."""
 
-    __slots__ = ("field", "rows", "_invariant_factors")
+    __slots__ = ("field", "rows", "_inverse", "_invariant_factors")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[int]]):
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
         if any(len(r) != len(self.rows[0]) for r in self.rows):
             raise ValueError("ragged rows")
+        self._inverse = None
         self._invariant_factors = None
 
     @property
@@ -151,14 +151,17 @@ class MatrixFq:
         return len(_rref(self.field, self.rows)[1])
 
     def inverse(self) -> "MatrixFq":
-        n = self.n
-        augmented = [
-            list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)
-        ]
-        mat, pivots = _rref(self.field, augmented)
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        return MatrixFq(self.field, [row[n:] for row in mat])
+        if self._inverse is None:
+            n = self.n
+            augmented = [
+                list(r) + [1 if i == j else 0 for j in range(n)]
+                for i, r in enumerate(self.rows)
+            ]
+            mat, pivots = _rref(self.field, augmented)
+            if pivots[:n] != list(range(n)):
+                raise ValueError("matrix is singular")
+            self._inverse = MatrixFq(self.field, [row[n:] for row in mat])
+        return self._inverse
 
     def is_invertible(self) -> bool:
         return self.n == self.ncols and self.rank() == self.n
@@ -364,7 +367,7 @@ def _nullspace_mod_field(field: Field, rows: List[List[int]]) -> List[List[int]]
     return basis
 
 
-def similarity_transform(a: MatrixFq, b: MatrixFq, seed: int = 0) -> MatrixFq:
+def similarity_transform(a: MatrixFq, b: MatrixFq) -> MatrixFq:
     """Invertible S with S*A = B*S, i.e. S A S^{-1} = B."""
     if a == b:
         return MatrixFq.identity(a.field, a.n)
@@ -392,7 +395,7 @@ def similarity_transform(a: MatrixFq, b: MatrixFq, seed: int = 0) -> MatrixFq:
         s = to_matrix(vec)
         if s.is_invertible():
             return s
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(500):
         vec = [0] * (n * n)
         for bvec in basis:
@@ -623,9 +626,7 @@ def approx_gl(w: Word, a: MatrixFq) -> GLWitness:
     factors = a.invariant_factors()
     summands = _group_invariant_factors(factors)
 
-    if form.kind == "power":
-        return _approx_gl_power(w, form, a, summands)
-
+    # x^a with a != 0 is not in [F2, F2], so power words get no wreath plan
     blocks: List[MatrixFq] = []
     g_blocks: List[MatrixFq] = []
     h_blocks: List[MatrixFq] = []
@@ -685,42 +686,13 @@ def approx_gl(w: Word, a: MatrixFq) -> GLWitness:
     g, h = s_inv * g * s, s_inv * h * s
     value = evaluate_word_matrix(w, g, h)
     achieved = rank_distance(a, value)
-    trace = {"path": "blockwise", "summands": trace_parts}
+    if form.kind == "power":
+        trace = {"path": "power"}
+    else:
+        trace = {"path": "blockwise", "summands": trace_parts}
     if sym_witness is not None:
         trace["symmetric_distance"] = str(sym_witness.achieved_distance)
     return GLWitness(
         word=w, g=g, h=h, value=value, target=a, achieved_distance=achieved, trace=trace
     )
 
-
-def _approx_gl_power(
-    w: Word, form, a: MatrixFq, summands
-) -> GLWitness:
-    """Power words: approximate the cycle structure of the normal form."""
-    field = a.field
-    blocks = []
-    cycles = []
-    off = 0
-    for chi, count in summands:
-        for _ in range(count):
-            blocks.append(frobenius_block(chi))
-            cycles.append(list(range(off, off + chi.degree)))
-            off += chi.degree
-    sigma = Permutation.from_cycles(off, cycles)
-    wit = _symmetric._power_witness(w, form, sigma)
-    c_mat = MatrixFq.block_diag(field, blocks)
-    s = similarity_transform(a, c_mat)
-    s_inv = s.inverse()
-    g = s_inv * MatrixFq.permutation(field, wit.g) * s
-    h = s_inv * MatrixFq.permutation(field, wit.h) * s
-    value = evaluate_word_matrix(w, g, h)
-    achieved = rank_distance(a, value)
-    return GLWitness(
-        word=w,
-        g=g,
-        h=h,
-        value=value,
-        target=a,
-        achieved_distance=achieved,
-        trace={"path": "power", "symmetric_distance": str(wit.achieved_distance)},
-    )

@@ -93,12 +93,9 @@ def word_image_sym(w: Word, n: int) -> ImageReport:
     return ImageReport(group=f"S_{n}", classes=frozenset(classes), exhaustive=True)
 
 
-def exact_distance_sym(w: Word, sigma: Permutation, n: Optional[int] = None) -> Fraction:
+def exact_distance_sym(w: Word, sigma: Permutation) -> Fraction:
     """min d_H(sigma, tau) over the full image of w on S_n, for n <= 7."""
-    if n is None:
-        n = sigma.degree
-    if n != sigma.degree:
-        raise ValueError("n does not match the degree of sigma")
+    n = sigma.degree
     if n > SYM_DISTANCE_MAX_N:
         raise ValueError(f"n must be at most {SYM_DISTANCE_MAX_N}")
     attained = word_image_sym(w, n).classes

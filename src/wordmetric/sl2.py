@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .ffield import (
     Field, FqPoly, element_of_order, embed, factorize, make_field, min_extension_root,
@@ -100,48 +100,26 @@ def evaluate_word_sl2(w: Word, g: SL2Elem, h: SL2Elem) -> SL2Elem:
     return evaluate(w, g, h, SL2Elem.identity(g.field))
 
 
-class ProjLine:
-    """The q+1 points of the projective line over F_q in canonical order."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.size = field.q + 1
-
-    def point(self, index: int) -> Tuple[int, int]:
-        if index == 0:
-            return (1, 0)
-        return (index - 1, 1)
-
-    def index(self, a: int, b: int) -> int:
-        F = self.field
-        if b == 0:
-            if a == 0:
-                raise ValueError("(0, 0) is not a projective point")
-            return 0
-        return 1 + F.mul(a, F.inv(b))
-
-
-@lru_cache(maxsize=None)
-def _proj_line(field_key: Tuple[int, int]) -> ProjLine:
-    return ProjLine(make_field(*field_key))
-
-
-def proj_line(field: Field) -> ProjLine:
-    return _proj_line((field.p, field.e))
+def _point_index(F: Field, a: int, b: int) -> int:
+    """Position of [a:b] on the projective line over F."""
+    if b == 0:
+        if a == 0:
+            raise ValueError("(0, 0) is not a projective point")
+        return 0
+    return 1 + F.mul(a, F.inv(b))
 
 
 def projective_permutation(g: SL2Elem) -> Permutation:
     """The permutation of the projective line under [a:b] -> [a:b] . g."""
     F = g.field
-    line = proj_line(F)
-    images = [0] * line.size
+    images = [0] * (F.q + 1)
     # point [1:0]
-    images[0] = line.index(g.a, g.b)
+    images[0] = _point_index(F, g.a, g.b)
     for a in range(F.q):
         # point [a:1] -> (a*g11 + g21, a*g12 + g22)
         na = F.add(F.mul(a, g.a), g.c)
         nb = F.add(F.mul(a, g.b), g.d)
-        images[1 + a] = line.index(na, nb)
+        images[1 + a] = _point_index(F, na, nb)
     return Permutation(images)
 
 
@@ -296,20 +274,26 @@ class IsotypicValue:
     h_perm: Permutation
 
 
-def isotypic_word_value(w: Word, k: int, field: Field, i: int = 1) -> IsotypicValue:
-    """A w-value on q^{im}+1 points of cycle type (1^2, k^{(q^{im}-1)/k}).
-
-    Requires 2k | q-1 for even k (k | q-1 for odd k) so that a trace value
-    with eigenvalue of the right order exists.
-    """
+@lru_cache(maxsize=None)
+def _isotypic_trace(w: Word, k: int, field: Field) -> TraceSolution:
+    """The trace solution behind the isotypic value: tr w(g, h) = lam + 1/lam
+    for lam of order 2k (k for odd k) in the field."""
     if k < 2:
         raise ValueError("k must be at least 2")
     need = 2 * k if k % 2 == 0 else k
     if (field.q - 1) % need != 0:
         raise ValueError(f"{need} does not divide q - 1 = {field.q - 1}")
     lam = element_of_order(field, need)
-    t = field.add(lam, field.inv(lam))
-    sol = solve_trace(w, field, t)
+    return solve_trace(w, field, field.add(lam, field.inv(lam)))
+
+
+def isotypic_word_value(w: Word, k: int, field: Field, i: int = 1) -> IsotypicValue:
+    """A w-value on q^{im}+1 points of cycle type (1^2, k^{(q^{im}-1)/k}).
+
+    Requires 2k | q-1 for even k (k | q-1 for odd k) so that a trace value
+    with eigenvalue of the right order exists.
+    """
+    sol = _isotypic_trace(w, k, field)
     big = make_field(field.p, sol.field.e * i) if i > 1 else sol.field
     g = sol.g.embed_into(big) if big is not sol.field else sol.g
     h = sol.h.embed_into(big) if big is not sol.field else sol.h

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ffield import is_prime, make_field
@@ -21,10 +22,9 @@ from .sl2 import (
     IsotypicValue,
     NearCycleValue,
     _cycle_count_cap,
+    _isotypic_trace,
     isotypic_word_value,
     near_cycle_word_value,
-    solve_trace,
-    element_of_order,
 )
 from .words import Word, SyllableForm, classify
 
@@ -54,9 +54,6 @@ class GreedyDecomposition:
             )
             if partial > self.q ** (j + 1):
                 raise ValueError("partial-sum constraint violated")
-
-    def coefficient_sum(self) -> int:
-        return self.n0 + sum(c for _, c in self.levels)
 
     def to_dict(self) -> dict:
         return {"q": self.q, "levels": [list(lv) for lv in self.levels], "n0": self.n0}
@@ -191,68 +188,43 @@ def _aligned_witness(
 
 # -- prime searches and cached block values ----------------------------------
 
-_SMALL_PARAMS: Dict[tuple, Tuple[int, int]] = {}
-_LARGE_PRIME: Dict[tuple, int] = {}
-_ISO_VALUES: Dict[tuple, IsotypicValue] = {}
-_NEAR_VALUES: Dict[tuple, NearCycleValue] = {}
-
-
 def _divides_exponent(p: int, form: SyllableForm) -> bool:
     return any(a % p == 0 or b % p == 0 for a, b in form.syllables)
 
 
+@lru_cache(maxsize=None)
 def _small_k_params(w: Word, form: SyllableForm, k: int) -> Tuple[int, int]:
     """(p, m): least usable prime with 2k | p-1 (k | p-1 for odd k), and the
     extension degree m <= l of the trace solution over F_p."""
-    key = (w.letters, k)
-    if key not in _SMALL_PARAMS:
-        need = 2 * k if k % 2 == 0 else k
-        p = 0
-        cand = need + 1
-        while True:
-            if is_prime(cand) and not _divides_exponent(cand, form):
-                p = cand
-                break
-            cand += need
-        base = make_field(p, 1)
-        lam = element_of_order(base, need)
-        t = base.add(lam, base.inv(lam))
-        sol = solve_trace(w, base, t)
-        _SMALL_PARAMS[key] = (p, sol.field.e)
-    return _SMALL_PARAMS[key]
+    need = 2 * k if k % 2 == 0 else k
+    p = need + 1
+    while not is_prime(p) or _divides_exponent(p, form):
+        p += need
+    return p, _isotypic_trace(w, k, make_field(p, 1)).field.e
 
 
+@lru_cache(maxsize=None)
 def _large_k_prime(form: SyllableForm) -> int:
-    key = (form.syllables,)
-    if key not in _LARGE_PRIME:
-        p = 4 * form.l + 1
-        while not is_prime(p) or _divides_exponent(p, form):
-            p += 1
-        _LARGE_PRIME[key] = p
-    return _LARGE_PRIME[key]
+    p = 4 * form.l + 1
+    while not is_prime(p) or _divides_exponent(p, form):
+        p += 1
+    return p
 
 
+@lru_cache(maxsize=None)
 def _isotypic_value(w: Word, k: int, p: int, i: int) -> IsotypicValue:
-    key = (w.letters, k, p, i)
-    if key not in _ISO_VALUES:
-        _ISO_VALUES[key] = isotypic_word_value(w, k, make_field(p, 1), i)
-    return _ISO_VALUES[key]
+    return isotypic_word_value(w, k, make_field(p, 1), i)
 
 
+@lru_cache(maxsize=None)
 def _near_value(w: Word, p: int, i: int) -> NearCycleValue:
-    key = (w.letters, p, i)
-    if key not in _NEAR_VALUES:
-        _NEAR_VALUES[key] = near_cycle_word_value(w, make_field(p, i))
-    return _NEAR_VALUES[key]
+    return near_cycle_word_value(w, make_field(p, i))
 
 
-def _assemble(n: int, blocks: Sequence[Tuple[int, Permutation]]) -> Permutation:
-    """Blocks (offset, perm) glued into one permutation fixing the rest."""
-    images = list(range(n))
-    for offset, perm in blocks:
-        for j, im in enumerate(perm.images):
-            images[offset + j] = offset + im
-    return Permutation(images)
+def _place(images: List[int], points: Sequence[int], perm: Permutation) -> None:
+    """Write perm onto the given points: points[j] maps to points[perm(j)]."""
+    for j, im in enumerate(perm.images):
+        images[points[j]] = points[im]
 
 
 # -- isotypic targets --------------------------------------------------------
@@ -268,18 +240,19 @@ def _large_k_bound(dec: GreedyDecomposition, n: int, c_k: int, l: int) -> Fracti
 
 
 def _build_blockwise(
-    w: Word, n: int, dec: GreedyDecomposition, value_for_level
+    n: int, dec: GreedyDecomposition, value_for_level
 ) -> Tuple[Permutation, Permutation]:
-    g_blocks, h_blocks = [], []
+    g_images, h_images = list(range(n)), list(range(n))
     offset = 0
     for i, count in dec.levels:
         block = value_for_level(i)
         size = dec.q ** i + 1
         for _ in range(count):
-            g_blocks.append((offset, block.g_perm))
-            h_blocks.append((offset, block.h_perm))
+            points = range(offset, offset + size)
+            _place(g_images, points, block.g_perm)
+            _place(h_images, points, block.h_perm)
             offset += size
-    return _assemble(n, g_blocks), _assemble(n, h_blocks)
+    return Permutation(g_images), Permutation(h_images)
 
 
 def approx_isotypic(w: Word, k: int, c_k: int) -> Witness:
@@ -308,50 +281,28 @@ def approx_isotypic(w: Word, k: int, c_k: int) -> Witness:
             trace={"path": "identity"},
         )
 
+    # each plan: (a-priori bound, decomposition, trace, block value per level)
     plans = []
     try:
         p_small, m = _small_k_params(w, form, k)
-        q_small = p_small ** m
-        dec_small = greedy_decomposition(n, q_small)
+        dec = greedy_decomposition(n, p_small ** m)
+        trace = {"path": "isotypic-blocks", "p": p_small, "m": m, "decomposition": dec.to_dict()}
         plans.append(
-            (
-                _small_k_bound(dec_small, n),
-                "isotypic-blocks",
-                (p_small, m, dec_small),
-            )
+            (_small_k_bound(dec, n), dec, trace, lambda i: _isotypic_value(w, k, p_small, i))
         )
     except (ValueError, AssertionError):
         pass
     p_large = _large_k_prime(form)
-    dec_large = greedy_decomposition(n, p_large)
+    dec = greedy_decomposition(n, p_large)
+    trace = {"path": "near-cycle-blocks", "p": p_large, "decomposition": dec.to_dict()}
     plans.append(
-        (
-            _large_k_bound(dec_large, n, c_k, form.l),
-            "near-cycle-blocks",
-            (p_large, dec_large),
-        )
+        (_large_k_bound(dec, n, c_k, form.l), dec, trace, lambda i: _near_value(w, p_large, i))
     )
     plans.sort(key=lambda item: item[0])
     last_error: Optional[Exception] = None
-    for bound, path, params in plans:
+    for bound, dec, trace, value_for_level in plans:
         try:
-            if path == "isotypic-blocks":
-                p, m, dec = params
-                g, h = _build_blockwise(
-                    w, n, dec, lambda i: _isotypic_value(w, k, p, i)
-                )
-                trace = {
-                    "path": path,
-                    "p": p,
-                    "m": m,
-                    "decomposition": dec.to_dict(),
-                }
-            else:
-                p, dec = params
-                g, h = _build_blockwise(
-                    w, n, dec, lambda i: _near_value(w, p, i)
-                )
-                trace = {"path": path, "p": p, "decomposition": dec.to_dict()}
+            g, h = _build_blockwise(n, dec, value_for_level)
             return _aligned_witness(w, g, h, target, bound, trace)
         except (ValueError, AssertionError) as exc:  # fall back to other path
             last_error = exc
@@ -491,10 +442,8 @@ def approx(w: Word, sigma: Permutation) -> Witness:
             trace_blocks[str(k)] = {"path": "identity", "points": c_k}
             continue
         wit = approx_isotypic(w, k, c_k)
-        for j, im in enumerate(wit.g.images):
-            g_images[block_pts[j]] = block_pts[im]
-        for j, im in enumerate(wit.h.images):
-            h_images[block_pts[j]] = block_pts[im]
+        _place(g_images, block_pts, wit.g)
+        _place(h_images, block_pts, wit.h)
         weighted += Fraction(k * c_k, n) * wit.achieved_distance
         bound += Fraction(k * c_k, n) * wit.bound_distance
         trace_blocks[str(k)] = dict(wit.trace, cycles=c_k)

@@ -120,12 +120,6 @@ class SyllableForm:
     def l(self) -> int:
         return len(self.syllables)
 
-    def exponents(self) -> Tuple[int, ...]:
-        out = []
-        for a, b in self.syllables:
-            out.extend((a, b))
-        return tuple(out)
-
     def standard_word(self) -> Word:
         """The word x^{a_1} y^{b_1} ... in standard position."""
         if self.kind == "trivial":

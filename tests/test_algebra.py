@@ -181,3 +181,14 @@ class TestRref:
                 with pytest.raises(ValueError):
                     a.inverse()
         assert seen == {"invertible", "singular"}
+
+
+def test_inverse_is_computed_once():
+    F = make_field(3, 1)
+    a = MatrixFq(F, [[1, 2], [0, 1]])
+    assert a.inverse() is a.inverse()
+    assert a.inverse() * a == MatrixFq.identity(F, 2)
+    singular = MatrixFq(F, [[1, 2], [2, 1]])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            singular.inverse()

@@ -327,6 +327,53 @@ class TestApproxGL:
             assert wit.value == evaluate_word_matrix(w, wit.g, wit.h)
             assert wit.achieved_distance == rank_distance(target, wit.value)
 
+    @pytest.mark.parametrize(
+        "seed,p,n,word,g_rows,h_rows,distance,symmetric_distance",
+        [
+            (
+                11, 3, 4, "x^2",
+                [[1, 0, 0, 0], [1, 1, 1, 0], [0, 0, 1, 0], [1, 2, 1, 1]],
+                None, "1/2", "1/2",
+            ),
+            (
+                12, 5, 5, "y^-3",
+                None,
+                [
+                    [1, 0, 3, 2, 3],
+                    [0, 0, 3, 0, 1],
+                    [1, 0, 0, 2, 3],
+                    [4, 4, 3, 1, 2],
+                    [0, 0, 2, 2, 3],
+                ],
+                "1/5", "0",
+            ),
+            (
+                13, 2, 6, "x^3",
+                [
+                    [1, 0, 0, 0, 0, 0],
+                    [1, 0, 0, 0, 0, 1],
+                    [1, 1, 1, 0, 0, 0],
+                    [0, 1, 0, 0, 0, 0],
+                    [0, 0, 1, 1, 1, 1],
+                    [1, 1, 1, 1, 0, 0],
+                ],
+                None, "1/3", "1/3",
+            ),
+        ],
+    )
+    def test_power_word_witness_is_pinned(
+        self, seed, p, n, word, g_rows, h_rows, distance, symmetric_distance
+    ):
+        # None stands for the identity, the generator the power word leaves out
+        F = make_field(p, 1)
+        target = random_invertible(F, n, random.Random(seed))
+        wit = approx_gl(parse_word(word), target)
+        ident = MatrixFq.identity(F, n).rows
+        assert wit.g.rows == (ident if g_rows is None else tuple(map(tuple, g_rows)))
+        assert wit.h.rows == (ident if h_rows is None else tuple(map(tuple, h_rows)))
+        assert wit.achieved_distance == Fraction(distance)
+        assert wit.trace == {"path": "power", "symmetric_distance": symmetric_distance}
+
     def test_singular_rejected(self):
         F = make_field(2, 1)
         singular = MatrixFq(F, [[1, 1], [1, 1]])

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,6 +24,22 @@ def test_no_bare_assert_in_package():
             f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert not found, f"bare assert in the package: {found}"
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer patches the package's functions by name; a
+    # rename must fail here, not only in the benchmark
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py")
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+    finally:
+        t.uninstall()
 
 
 def _run(args):

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from wordmetric import sl2
 from wordmetric.perms import (
     Permutation,
     cycle_notation,
@@ -156,6 +158,25 @@ class TestIsotypicWitness:
     def test_identity_target_is_exact(self):
         wit = approx_isotypic(parse_word("[x,y]"), 1, 20)
         assert wit.achieved_distance == 0
+
+    def test_trace_equation_is_solved_once(self, monkeypatch):
+        # the prime search and the block values share one trace solution;
+        # no other test uses this word, so the caches start empty for it
+        calls = []
+        orig = sl2.solve_trace
+
+        def counted(*args):
+            calls.append(args)
+            return orig(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("wordmetric"):
+                for attr, val in list(vars(module).items()):
+                    if val is orig:
+                        monkeypatch.setattr(module, attr, counted)
+        wit = approx_isotypic(parse_word("[x,y^-1]"), 2, 50)
+        assert wit.achieved_distance <= wit.bound_distance
+        assert len(calls) == 1
 
 
 class TestPowerWitness:
