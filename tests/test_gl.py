@@ -13,6 +13,7 @@ import wordmetric
 from wordmetric.ffield import FqPoly, make_field
 from wordmetric.glapprox import (
     MatrixFq,
+    _try_wreath_plan,
     approx_gl,
     compose_with_power,
     evaluate_word_matrix,
@@ -373,6 +374,28 @@ class TestApproxGL:
         assert wit.h.rows == (ident if h_rows is None else tuple(map(tuple, h_rows)))
         assert wit.achieved_distance == Fraction(distance)
         assert wit.trace == {"path": "power", "symmetric_distance": symmetric_distance}
+
+    @pytest.mark.parametrize(
+        "p,chi,count,crs,edge_values",
+        [
+            (5, [1, 3, 1], 5, (1, 5, 0),
+             [[1], [1], [1], [1], [1], [0, 1], [4, 2], [3, 3], [2, 4], [1]]),
+            (5, [3, 1], 4, (1, 4, 0), [[1], [1], [1], [1], [2], [4], [3], [1]]),
+            (3, [1, 1], 5, (2, 2, 1), [[1], [1], [2], [1]]),
+            (2, [1, 0, 1], 5, (2, 2, 1), [[1], [1], [0, 0, 1], [1]]),
+        ],
+    )
+    def test_wreath_plan_is_pinned(self, p, chi, count, crs, edge_values):
+        plan = _try_wreath_plan(parse_word("[x,y]"), FqPoly(make_field(p, 1), chi), count)
+        assert (plan.c, plan.r, plan.s) == crs
+        assert [f.coeffs for f in plan.edge_values] == edge_values
+
+    def test_scalar_target_takes_the_unit_wreath_path(self):
+        F = make_field(3, 1)
+        target = MatrixFq(F, [[2, 0], [0, 2]])
+        wit = approx_gl(parse_word("[x,y]"), target)
+        assert [part["path"] for part in wit.trace["summands"]] == ["unit-wreath"]
+        assert wit.achieved_distance == 0
 
     def test_singular_rejected(self):
         F = make_field(2, 1)
