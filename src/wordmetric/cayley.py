@@ -14,13 +14,13 @@ import cmath
 import itertools
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fox import IN_F2PRIME_NOT_F2SECOND, derived_membership, fox_derivative
+from .fox import fox_derivative
 from .perms import Permutation, evaluate_word
 from .words import Word
 
@@ -338,6 +338,45 @@ def smith_normal_form(
     return u, a, v
 
 
+def smith_solve(
+    m: Sequence[Sequence[int]],
+    target: Sequence,
+    one,
+    mul: Callable,
+    pw: Callable,
+    root: Callable,
+) -> Tuple[Optional[list], Tuple[int, ...]]:
+    """Solve prod_j xi_j^M[i][j] = target_i in an abelian group written
+    multiplicatively, through U*M*V = D.
+
+    pw(a, e) is the e-th power for any integer e; root(d, b) returns some
+    eta with eta^d = b for d > 0, or None.  A zero divisor leaves eta free,
+    so its row needs b = one.  Returns (xi or None, divisors).
+    """
+    u, d, v = smith_normal_form(m)
+    divisors = tuple(d[i][i] for i in range(min(len(d), len(v))))
+
+    def combine(exponents, values):
+        acc = one
+        for e, a in zip(exponents, values):
+            if e and a != one:
+                acc = mul(acc, pw(a, e))
+        return acc
+
+    eta = []
+    for i, row in enumerate(u):
+        di = divisors[i] if i < len(divisors) else 0
+        b = combine(row, target)
+        eta.append((one if b == one else None) if di == 0 else root(di, b))
+        if eta[-1] is None:
+            return None, divisors
+    xi = [combine(row, eta) for row in v]
+    for row, t in zip(m, target):
+        if combine(row, xi) != t:
+            raise AssertionError("Smith-form solve verification failed")
+    return xi, divisors
+
+
 @dataclass(frozen=True)
 class AbelianSolveReport:
     solvable: bool
@@ -356,51 +395,24 @@ def solve_in_abelian(
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    u, d, v = smith_normal_form(m)
-    rows = len(d)
-    cols = len(d[0]) if rows else 0
-    divisors = tuple(d[i][i] for i in range(min(rows, cols)))
-    multiplier = 1
-    for e in divisors:
-        if e not in (0, 1):
-            multiplier *= e
-    ut = [
-        sum(u[i][j] * target[j] for j in range(rows)) % modulus
-        for i in range(rows)
-    ]
-    eta = [0] * cols
-    solvable = True
-    for i in range(rows):
-        dii = divisors[i] if i < len(divisors) else 0
-        if dii % modulus == 0 and dii != 0:
-            dii_mod = 0
-        else:
-            dii_mod = dii % modulus
-        rhs = ut[i]
-        if dii == 0 or dii_mod == 0:
-            if rhs % modulus != 0:
-                solvable = False
-            continue
-        g = math.gcd(dii_mod, modulus)
-        if rhs % g != 0:
-            solvable = False
-            continue
-        if i < cols:
-            eta[i] = (rhs // g) * pow(dii_mod // g, -1, modulus // g) % modulus
-    if not solvable:
-        return AbelianSolveReport(
-            solvable=False, solution=None, multiplier=multiplier, divisors=divisors
-        )
-    xi = [
-        sum(v[i][j] * eta[j] for j in range(cols)) % modulus for i in range(cols)
-    ]
-    # verify
-    for i in range(rows):
-        lhs = sum(m[i][j] * xi[j] for j in range(cols)) % modulus
-        if lhs != target[i] % modulus:
-            raise AssertionError("abelian solve verification failed")
+
+    def root(d: int, b: int) -> Optional[int]:
+        g = math.gcd(d, modulus)
+        return None if b % g else b // g * pow(d // g, -1, modulus // g) % modulus
+
+    xi, divisors = smith_solve(
+        m,
+        [t % modulus for t in target],
+        0,
+        lambda a, b: (a + b) % modulus,
+        lambda a, e: a * e % modulus,
+        root,
+    )
     return AbelianSolveReport(
-        solvable=True, solution=tuple(xi), multiplier=multiplier, divisors=divisors
+        solvable=xi is not None,
+        solution=None if xi is None else tuple(xi),
+        multiplier=math.prod(e for e in divisors if e not in (0, 1)),
+        divisors=divisors,
     )
 
 

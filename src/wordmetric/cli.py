@@ -87,12 +87,12 @@ def _random_permutation(n: int, rng: random.Random) -> Permutation:
 def _target_from_spec(spec: str, n: int, seed: int) -> Permutation:
     if spec == "random":
         return _random_permutation(n, random.Random(f"{seed}:{n}:target"))
-    if os.path.isfile(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            spec = fh.read().strip()
     try:
+        if os.path.isfile(spec):
+            with open(spec, "r", encoding="utf-8") as fh:
+                spec = fh.read().strip()
         return parse_cycle_notation(spec, n)
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         raise CLIParseError(f"bad target {spec!r}: {exc}") from exc
 
 

@@ -57,76 +57,22 @@ def factorize(n: int) -> dict:
     return out
 
 
-# -- polynomials over F_p (dense int lists, index = degree) ------------------
+# -- irreducible moduli over F_p --------------------------------------------
 
 
-def _pmod_trim(c: List[int]) -> List[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmod_mul(a: List[int], b: List[int], p: int) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pmod_trim(out)
-
-
-def _pmod_rem(a: List[int], m: List[int], p: int) -> List[int]:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        a = _pmod_trim(a)
-        if len(a) - 1 < dm or not a:
-            break
-        coef = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - coef * mi) % p
-        a = _pmod_trim(a)
-    return a
-
-
-def _pmod_powmod(base: List[int], exp: int, m: List[int], p: int) -> List[int]:
-    return power(
-        _pmod_rem(base, m, p), exp, [1], lambda a, b: _pmod_rem(_pmod_mul(a, b, p), m, p)
-    )
-
-
-def _pmod_gcd(a: List[int], b: List[int], p: int) -> List[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _is_irreducible(poly: List[int], p: int) -> bool:
-    """Irreducibility over F_p via the x^{p^i} - x criterion."""
-    e = len(poly) - 1
+def _is_irreducible(poly: "FqPoly") -> bool:
+    """Rabin's test over the prime field: poly of degree e divides
+    X^{p^e} - X and is coprime to X^{p^{e/r}} - X for each prime r | e."""
+    F = poly.field
+    e = poly.degree
     if e <= 0:
         return False
-    x = [0, 1]
-    # x^{p^e} == x mod poly
-    t = _pmod_powmod(x, p ** e, poly, p)
-    if _pmod_trim(list(t)) != [0, 1]:
+    if not FqPoly.x_pow_minus_x(F, F.p ** e, poly).is_zero():
         return False
-    for r in factorize(e):
-        t = _pmod_powmod(x, p ** (e // r), poly, p)
-        diff = list(t) + [0] * (2 - len(t))
-        diff[1] = (diff[1] - 1) % p
-        g = _pmod_gcd(poly, _pmod_trim(diff), p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
+    return all(
+        FqPoly.x_pow_minus_x(F, F.p ** (e // r), poly).gcd(poly).degree == 0
+        for r in factorize(e)
+    )
 
 
 def _least_irreducible(p: int, e: int) -> List[int]:
@@ -136,6 +82,7 @@ def _least_irreducible(p: int, e: int) -> List[int]:
     """
     if e == 1:
         return [0, 1]
+    F = make_field(p, 1)
     for code in range(p ** e):
         coeffs = []
         v = code
@@ -143,7 +90,7 @@ def _least_irreducible(p: int, e: int) -> List[int]:
             coeffs.append(v % p)
             v //= p
         poly = coeffs + [1]
-        if _is_irreducible(poly, p):
+        if _is_irreducible(FqPoly(F, poly)):
             return poly
     raise AssertionError("no irreducible polynomial found")
 
@@ -229,9 +176,21 @@ class Field:
         return self._mul_slow(a, b)
 
     def _mul_slow(self, a: int, b: int) -> int:
-        prod = _pmod_mul(list(self.coeffs(a)), list(self.coeffs(b)), self.p)
-        prod = _pmod_rem(prod, self.modulus, self.p)
-        return self.encode(prod + [0] * (self.e - len(prod)))
+        """Schoolbook product of the coefficient vectors, reduced top down by
+        the monic modulus; encode takes the coefficients mod p."""
+        e, m = self.e, self.modulus
+        cb = self.coeffs(b)
+        prod = [0] * (2 * e - 1)
+        for i, ai in enumerate(self.coeffs(a)):
+            if ai:
+                for j, bj in enumerate(cb):
+                    prod[i + j] += ai * bj
+        for k in range(2 * e - 2, e - 1, -1):
+            c = prod[k] % self.p
+            if c:
+                for i in range(e):
+                    prod[k - e + i] -= c * m[i]
+        return self.encode(prod[:e])
 
     def inv(self, a: int) -> int:
         if a == 0:

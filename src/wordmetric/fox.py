@@ -18,13 +18,51 @@ from .ffield import factorize
 from .words import Word
 
 
-class GroupRingElem:
-    """Element of Z[F2]: finite map from reduced words to nonzero ints."""
+class _SparseRing:
+    """Sparse Z-linear combinations with nonzero coefficients; subclasses set
+    _mono, the product of two keys."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Word, int]] = None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
+    def __init__(self, terms: Optional[Dict] = None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        mono = self._mono
+        out: Dict = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                key = mono(ka, kb)
+                out[key] = out.get(key, 0) + ca * cb
+        return type(self)(out)
+
+
+class GroupRingElem(_SparseRing):
+    """Element of Z[F2]: finite map from reduced words to nonzero ints."""
+
+    __slots__ = ()
+    _mono = staticmethod(Word.__mul__)
 
     @staticmethod
     def zero() -> "GroupRingElem":
@@ -37,35 +75,6 @@ class GroupRingElem:
     @staticmethod
     def of(w: Word, c: int = 1) -> "GroupRingElem":
         return GroupRingElem({w: c})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupRingElem) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElem(out)
-
-    def __neg__(self) -> "GroupRingElem":
-        return GroupRingElem({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
-        return self + (-other)
-
-    def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
-        out: Dict[Word, int] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                key = wa * wb
-                out[key] = out.get(key, 0) + ca * cb
-        return GroupRingElem(out)
 
     def __repr__(self):
         if not self.terms:
@@ -100,33 +109,14 @@ def fox_identity_holds(w: Word) -> bool:
     return lhs == rhs
 
 
-class LaurentPoly2:
+class LaurentPoly2(_SparseRing):
     """Z[X^{±1}, Y^{±1}] with sparse exponent dictionaries."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Optional[Dict[Tuple[int, int], int]] = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly2) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly2(out)
-
-    def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        out: Dict[Tuple[int, int], int] = {}
-        for (i, j), c in self.terms.items():
-            for (k, l), d in other.terms.items():
-                e = (i + k, j + l)
-                out[e] = out.get(e, 0) + c * d
-        return LaurentPoly2(out)
+    @staticmethod
+    def _mono(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+        return (a[0] + b[0], a[1] + b[1])
 
     def support(self):
         return set(self.terms)
@@ -139,32 +129,11 @@ class LaurentPoly2:
         )
 
 
-class LaurentPoly1:
+class LaurentPoly1(_SparseRing):
     """Z[X^{±1}] with a sparse exponent dictionary."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[int, int]] = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly1) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly1(out)
-
-    def __mul__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        out: Dict[int, int] = {}
-        for i, c in self.terms.items():
-            for j, d in other.terms.items():
-                out[i + j] = out.get(i + j, 0) + c * d
-        return LaurentPoly1(out)
+    __slots__ = ()
+    _mono = staticmethod(int.__add__)
 
     def normalized(self) -> Tuple[int, ...]:
         """Coefficient tuple shifted to start at degree 0, sign-normalized."""

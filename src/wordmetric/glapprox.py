@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cayley import FiniteQuotient, build_d2, smith_normal_form
+from .cayley import FiniteQuotient, build_d2, smith_solve
 from .ffield import Field, FqPoly, make_field
 from .perms import Permutation
 from .symmetric import Witness, approx
@@ -514,60 +514,23 @@ def _solve_units(
     units: List[FqPoly],
     modulus: FqPoly,
 ) -> Optional[List[FqPoly]]:
-    """Solve M xi = target multiplicatively over the unit group of the ring.
-
-    Uses the integer Smith form of M; each diagonal equation eta^d = rhs is
-    solved by scanning the (small) unit group.
-    """
-    u, d, v = smith_normal_form(m)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Solve M xi = target multiplicatively over the unit group of the ring;
+    each diagonal equation eta^d = rhs is solved by scanning the (small)
+    unit group."""
     one = FqPoly(modulus.field, [1])
+
+    def mul(a: FqPoly, b: FqPoly) -> FqPoly:
+        return (a * b) % modulus
 
     def unit_power(f: FqPoly, e: int) -> FqPoly:
         if e < 0:
-            f = _unit_inverse(f, modulus, units)
-            e = -e
-        return power(f, e, one, lambda a, b: (a * b) % modulus)
+            f, e = _unit_inverse(f, modulus, units), -e
+        return power(f, e, one, mul)
 
-    ut = []
-    for i in range(rows):
-        acc = one
-        for j in range(rows):
-            if u[i][j]:
-                acc = (acc * unit_power(target[j], u[i][j])) % modulus
-        ut.append(acc)
-    eta = [one] * cols
-    for i in range(rows):
-        dii = d[i][i] if i < min(rows, cols) else 0
-        rhs = ut[i]
-        if dii == 0:
-            if rhs.coeffs != one.coeffs:
-                return None
-            continue
-        root = next(
-            (cand for cand in units if unit_power(cand, dii).coeffs == rhs.coeffs),
-            None,
-        )
-        if root is None:
-            return None
-        eta[i] = root
-    xi = []
-    for i in range(cols):
-        acc = one
-        for j in range(cols):
-            if v[i][j] and eta[j].coeffs != one.coeffs:
-                acc = (acc * unit_power(eta[j], v[i][j])) % modulus
-        xi.append(acc)
-    # verify M xi = target multiplicatively
-    for i in range(rows):
-        acc = one
-        for j in range(cols):
-            if m[i][j]:
-                acc = (acc * unit_power(xi[j], m[i][j])) % modulus
-        if acc.coeffs != target[i].coeffs:
-            raise AssertionError("unit-group solve verification failed")
-    return xi
+    def root(d: int, rhs: FqPoly) -> Optional[FqPoly]:
+        return next((cand for cand in units if unit_power(cand, d) == rhs), None)
+
+    return smith_solve(m, target, one, mul, unit_power, root)[0]
 
 
 def _unit_inverse(f: FqPoly, modulus: FqPoly, units: List[FqPoly]) -> FqPoly:
@@ -578,8 +541,8 @@ def _unit_inverse(f: FqPoly, modulus: FqPoly, units: List[FqPoly]) -> FqPoly:
     raise ValueError("element is not a unit")
 
 
-def _wreath_matrices(plan: _WreathPlan) -> Tuple[MatrixFq, MatrixFq, MatrixFq]:
-    """(G, H, value) over F_q for the r-fold wreath construction."""
+def _wreath_matrices(plan: _WreathPlan) -> Tuple[MatrixFq, MatrixFq]:
+    """(G, H) over F_q for the r-fold wreath construction."""
     field = plan.chi.field
     r = plan.r
     block = plan.modulus.degree

@@ -13,7 +13,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .ffield import Field
 from .glapprox import MatrixFq, evaluate_word_matrix, rank_distance
@@ -99,13 +100,21 @@ def exact_distance_sym(w: Word, sigma: Permutation) -> Fraction:
     if n > SYM_DISTANCE_MAX_N:
         raise ValueError(f"n must be at most {SYM_DISTANCE_MAX_N}")
     attained = word_image_sym(w, n).classes
+    return _nearest(
+        sigma, _all_permutations(n), Permutation.cycle_type, attained, hamming_distance
+    )
+
+
+def _nearest(
+    target, elements: Iterable, label: Callable, attained: FrozenSet, distance: Callable
+) -> Fraction:
+    """min distance(target, m) over the elements m with label(m) attained."""
     best = Fraction(1)
-    for tau in _all_permutations(n):
-        if tau.cycle_type() not in attained:
-            continue
-        best = min(best, hamming_distance(sigma, tau))
-        if best == 0:
-            break
+    for m in elements:
+        if label(m) in attained:
+            best = min(best, distance(target, m))
+            if best == 0:
+                break
     return best
 
 
@@ -116,13 +125,15 @@ def _gl_order(d: int, q: int) -> int:
     return order
 
 
-def _all_gl_elements(field: Field, d: int) -> List[MatrixFq]:
-    out = []
-    for entries in itertools.product(range(field.q), repeat=d * d):
-        m = MatrixFq(field, [entries[i * d : (i + 1) * d] for i in range(d)])
-        if m.is_invertible():
-            out.append(m)
-    return out
+# one group at a time: GL_d(q) may have 10^6 elements, and the matrices keep
+# their inverses and invariant factors, so each is classified once per group
+@lru_cache(maxsize=1)
+def _all_gl_elements(field: Field, d: int) -> Tuple[MatrixFq, ...]:
+    matrices = (
+        MatrixFq(field, [entries[i * d : (i + 1) * d] for i in range(d)])
+        for entries in itertools.product(range(field.q), repeat=d * d)
+    )
+    return tuple(m for m in matrices if m.is_invertible())
 
 
 def _matrix_class(m: MatrixFq) -> MatrixClass:
@@ -172,11 +183,6 @@ def exact_distance_matrix(
     field = target.field
     if report is None:
         report = word_image_matrix(w, d, field)
-    best = Fraction(1)
-    for m in _all_gl_elements(field, d):
-        if _matrix_class(m) not in report.classes:
-            continue
-        best = min(best, rank_distance(target, m))
-        if best == 0:
-            break
-    return best
+    return _nearest(
+        target, _all_gl_elements(field, d), _matrix_class, report.classes, rank_distance
+    )

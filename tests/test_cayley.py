@@ -254,6 +254,28 @@ class TestSolveInAbelian:
             report = solve_in_abelian(m, target, modulus)
             assert report.solvable  # constructed from an actual solution
 
+    def test_matches_brute_force(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            modulus = rng.choice([1, 2, 4, 6, 9])
+            m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+            target = [rng.randint(-10, 10) for _ in range(rows)]
+
+            def solves(xi):
+                return all(
+                    (sum(a * x for a, x in zip(row, xi)) - t) % modulus == 0
+                    for row, t in zip(m, target)
+                )
+
+            exists = any(
+                solves(xi) for xi in itertools.product(range(modulus), repeat=cols)
+            )
+            report = solve_in_abelian(m, target, modulus)
+            assert report.solvable == exists
+            if report.solvable:
+                assert solves(report.solution)
+
 
 class TestWidthTwoShift:
     def test_three_point_line_pair(self):

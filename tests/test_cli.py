@@ -67,6 +67,17 @@ class TestApproxSym:
         record = json.loads(capsys.readouterr().out)
         assert record["result"]["achieved_distance"] == "0"
 
+    @pytest.mark.parametrize("spec", ["(0 1", "(0 0)", "(0 9)", "(a b)"])
+    def test_bad_target_exit_2(self, spec, capsys):
+        assert run(["approx-sym", "--word", "[x,y]", "--n", "5", "--target", spec]) == 2
+        assert "error: bad target" in capsys.readouterr().err
+
+    def test_undecodable_target_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "target.txt"
+        path.write_bytes(b"\xff\xfe(0 1)")
+        assert run(["approx-sym", "--word", "[x,y]", "--n", "5", "--target", str(path)]) == 2
+        assert "error: bad target" in capsys.readouterr().err
+
     def test_stdout_when_no_out(self, capsys):
         assert run(["approx-sym", "--word", "[x,y]", "--n", "10", "--seed", "1"]) == 0
         record = json.loads(capsys.readouterr().out)

@@ -7,6 +7,7 @@ import pytest
 from wordmetric.ffield import (
     Field,
     FqPoly,
+    _least_irreducible,
     element_of_order,
     embed,
     factorize,
@@ -178,3 +179,59 @@ class TestRoots:
                         embed(F, sub) if mm > 1 else (lambda a: a), sub
                     )
                     assert all(sub_poly.evaluate(a) for a in range(sub.q))
+
+
+def _monic_polys(p, degree):
+    """Monic polynomials of the given degree over F_p, coefficients low to
+    high, with c_0 varying fastest."""
+    for code in range(p**degree):
+        yield [(code // p**i) % p for i in range(degree)] + [1]
+
+
+def _divides_mod_p(f, g, p):
+    """Whether the monic f divides g over F_p, by long division."""
+    rem = list(g)
+    for shift in range(len(g) - len(f), -1, -1):
+        c = rem[shift + len(f) - 1] % p
+        for i, fi in enumerate(f):
+            rem[shift + i] -= c * fi
+    return all(r % p == 0 for r in rem)
+
+
+@pytest.mark.parametrize(
+    "p,e", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)]
+)
+def test_least_irreducible_matches_trial_division(p, e):
+    expected = next(
+        g
+        for g in _monic_polys(p, e)
+        if not any(
+            _divides_mod_p(f, g, p)
+            for d in range(1, e // 2 + 1)
+            for f in _monic_polys(p, d)
+        )
+    )
+    assert _least_irreducible(p, e) == expected
+
+
+def _reference_product(F, a, b):
+    base = make_field(F.p, 1)
+    prod = FqPoly(base, F.coeffs(a)) * FqPoly(base, F.coeffs(b))
+    return F.encode((prod % FqPoly(base, F.modulus)).coeffs)
+
+
+@pytest.mark.parametrize("p,e", [(2, 4), (5, 2), (3, 3)])
+def test_mul_slow_matches_polynomial_product_on_all_pairs(p, e):
+    F = make_field(p, e)
+    for a in range(F.q):
+        for b in range(F.q):
+            assert F._mul_slow(a, b) == _reference_product(F, a, b)
+
+
+@pytest.mark.parametrize("p,e", [(11, 4), (7681, 2)])
+def test_mul_slow_matches_polynomial_product_on_random_pairs(p, e):
+    F = make_field(p, e)
+    rng = random.Random(p + e)
+    for _ in range(500):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert F._mul_slow(a, b) == _reference_product(F, a, b)

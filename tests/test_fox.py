@@ -18,6 +18,7 @@ from wordmetric.fox import (
     UNKNOWN,
     GroupRingElem,
     LaurentPoly1,
+    LaurentPoly2,
     abelianized_derivatives,
     count_Wn,
     derived_membership,
@@ -54,6 +55,50 @@ class TestGroupRing:
         b = GroupRingElem.of(parse_word("x"), -2)
         assert (a + b).is_zero()
         assert not (a + b).terms
+
+    def test_rings_of_different_kinds_differ(self):
+        assert GroupRingElem() != LaurentPoly1()
+        assert LaurentPoly1() != LaurentPoly2()
+        assert LaurentPoly1({0: 1}) != LaurentPoly2({(0, 0): 1})
+
+
+def _laurent_key_1(rng):
+    return rng.randint(-3, 3)
+
+
+def _laurent_key_2(rng):
+    return (rng.randint(-2, 2), rng.randint(-2, 2))
+
+
+@pytest.mark.parametrize(
+    "cls,key,unit", [(LaurentPoly1, _laurent_key_1, 0), (LaurentPoly2, _laurent_key_2, (0, 0))]
+)
+class TestLaurentRing:
+    def random(self, rng, cls, key):
+        return cls({key(rng): rng.randint(-3, 3) for _ in range(rng.randint(0, 4))})
+
+    def test_ring_axioms_random(self, cls, key, unit):
+        rng = random.Random(1)
+        one, zero = cls({unit: 1}), cls()
+        for _ in range(50):
+            a, b, c = (self.random(rng, cls, key) for _ in range(3))
+            assert (a + b) * c == a * c + b * c
+            assert a * (b + c) == a * b + a * c
+            assert (a * b) * c == a * (b * c)
+            assert a + b == b + a and a * b == b * a
+            assert a + zero == a and a * one == a
+            assert (a - a).is_zero() and a - b == a + (-b)
+            assert hash(a + b) == hash(b + a)
+
+    def test_no_zero_coefficients_stored(self, cls, key, unit):
+        rng = random.Random(2)
+        for _ in range(50):
+            terms = {key(rng): rng.randint(-3, 3) for _ in range(4)}
+            a = cls(terms)
+            assert a.terms == {k: c for k, c in terms.items() if c}
+            assert not (a - cls(terms)).terms
+            product = a * self.random(rng, cls, key)
+            assert all(product.terms.values())
 
 
 class TestFoxDerivative:

@@ -390,6 +390,16 @@ class TestApproxGL:
         assert (plan.c, plan.r, plan.s) == crs
         assert [f.coeffs for f in plan.edge_values] == edge_values
 
+    @pytest.mark.parametrize(
+        "p,chi,edge_values",
+        [(3, [1, 1], [[1], [1], [0, 1], [1]]), (2, [1, 0, 1], [[1], [1], [0, 0, 0, 1], [1]])],
+    )
+    def test_wreath_plan_takes_the_first_root_in_unit_order(self, p, chi, edge_values):
+        # a Smith divisor above 1 has several roots; the first unit is kept
+        plan = _try_wreath_plan(parse_word("[x,y]^2"), FqPoly(make_field(p, 1), chi), 4)
+        assert (plan.c, plan.r, plan.s) == (2, 2, 0)
+        assert [f.coeffs for f in plan.edge_values] == edge_values
+
     def test_scalar_target_takes_the_unit_wreath_path(self):
         F = make_field(3, 1)
         target = MatrixFq(F, [[2, 0], [0, 2]])

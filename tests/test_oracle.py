@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from wordmetric import glapprox
 from wordmetric.ffield import make_field
 from wordmetric.glapprox import MatrixFq, evaluate_word_matrix
 from wordmetric.oracle import (
+    _all_gl_elements,
+    exact_distance_matrix,
     exact_distance_sym,
     word_image_matrix,
     word_image_sym,
@@ -107,6 +110,25 @@ class TestMatrixImage:
         F = make_field(5, 1)
         with pytest.raises(ValueError):
             word_image_matrix(parse_word("x"), 4, F)
+
+    def test_distance_sweep_classifies_each_element_once(self, monkeypatch):
+        # whole passes, since a single call stops early at distance 0
+        w = parse_word("[x,y]")
+        F = make_field(2, 1)
+        report = word_image_matrix(w, 3, F)
+        targets = _all_gl_elements(F, 3)
+        assert len(targets) == 168
+        first = [exact_distance_matrix(w, t, report) for t in targets]
+        calls = []
+        original = glapprox._invariant_factors
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(glapprox, "_invariant_factors", counted)
+        assert [exact_distance_matrix(w, t, report) for t in targets] == first
+        assert calls == []
 
     def test_sampled_mode_records_seed(self):
         F = make_field(11, 1)
