@@ -60,7 +60,7 @@ def factorize(n: int) -> dict:
 # -- irreducible moduli over F_p --------------------------------------------
 
 
-def _is_irreducible(poly: "FqPoly") -> bool:
+def _is_irreducible(poly: FqPoly) -> bool:
     """Rabin's test over the prime field: poly of degree e divides
     X^{p^e} - X and is coprime to X^{p^{e/r}} - X for each prime r | e."""
     F = poly.field
