@@ -180,6 +180,20 @@ class TestRoots:
                     )
                     assert all(sub_poly.evaluate(a) for a in range(sub.q))
 
+    @pytest.mark.parametrize(
+        "p,coeffs,root,q",
+        [
+            (13, [8, 4, 0, 1, 1], 8206, 28561),
+            (19, [13, 2, 18, 6, 1], 88006, 130321),
+            (13, [11, 12, 2, 6, 1], 22794, 28561),
+            (17, [7, 7, 6, 5, 1], 15609, 83521),
+        ],
+    )
+    def test_min_extension_root_is_pinned(self, p, coeffs, root, q):
+        # fields above 4096 elements take the seeded splitting path
+        m, found, big = min_extension_root(FqPoly(make_field(p, 1), coeffs), 4)
+        assert (m, found, big.q) == (4, root, q)
+
 
 def _monic_polys(p, degree):
     """Monic polynomials of the given degree over F_p, coefficients low to

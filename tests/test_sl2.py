@@ -170,6 +170,21 @@ class TestIsotypic:
         assert pairs[1] == 2
         assert set(pairs) == {1, 3}
 
+    @pytest.mark.parametrize(
+        "word,sigma,g_perm,h_perm",
+        [
+            ("[x,y]", [5, 0, 3, 4, 2, 1, 6, 7], [0, 3, 4, 5, 6, 7, 1, 2], [2, 1, 5, 4, 7, 6, 3, 0]),
+            # starts with a y-syllable, so the generators are exchanged
+            ("y^-1 x^-1 y x^2", [7, 3, 1, 2, 0, 5, 6, 4], [2, 1, 5, 4, 7, 6, 3, 0],
+             [0, 4, 5, 6, 7, 1, 2, 3]),
+        ],
+    )
+    def test_value_is_pinned(self, word, sigma, g_perm, h_perm):
+        iso = isotypic_word_value(parse_word(word), 3, make_field(7, 1))
+        assert list(iso.sigma.images) == sigma
+        assert list(iso.g_perm.images) == g_perm
+        assert list(iso.h_perm.images) == h_perm
+
 
 class TestNearCycle:
     def test_defect_bound(self):
@@ -186,3 +201,19 @@ class TestNearCycle:
     def test_requires_large_field(self):
         with pytest.raises(ValueError):
             near_cycle_word_value(parse_word("[x,y]"), make_field(5, 1))
+
+    @pytest.mark.parametrize(
+        "word,sigma,g_perm,h_perm",
+        [
+            ("[x,y]", [1, 10, 8, 2, 0, 13, 7, 5, 4, 6, 3, 12, 9, 11],
+             [0] + list(range(2, 14)) + [1], [2, 1, 8, 6, 5, 7, 4, 13, 10, 12, 11, 9, 3, 0]),
+            ("y^-1 x^-1 y x^2", [10, 12, 3, 4, 8, 1, 11, 5, 13, 0, 7, 2, 9, 6],
+             [2, 1, 8, 6, 5, 7, 4, 13, 10, 12, 11, 9, 3, 0], [0] + list(range(3, 14)) + [1, 2]),
+        ],
+    )
+    def test_value_is_pinned(self, word, sigma, g_perm, h_perm):
+        near = near_cycle_word_value(parse_word(word), make_field(13, 1))
+        assert near.defect == 2
+        assert list(near.sigma.images) == sigma
+        assert list(near.g_perm.images) == g_perm
+        assert list(near.h_perm.images) == h_perm

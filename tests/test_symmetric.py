@@ -210,6 +210,20 @@ class TestPowerWitness:
         wit = approx(parse_word("y x^2 y^-1"), sigma)
         assert wit.achieved_distance == 0
 
+    @pytest.mark.parametrize(
+        "word,h,distance",
+        [
+            ("y^3", [3, 2, 0, 1, 8, 7, 6, 5, 4], Fraction(0)),
+            ("y^-2", [1, 3, 2, 0, 5, 8, 6, 4, 7], Fraction(2, 9)),
+        ],
+    )
+    def test_swapped_power_word_is_pinned(self, word, h, distance):
+        # a power of y puts the power value on h and leaves g the identity
+        wit = approx(parse_word(word), Permutation([2, 3, 1, 0, 8, 7, 6, 5, 4]))
+        assert list(wit.g.images) == list(range(9))
+        assert list(wit.h.images) == h
+        assert wit.achieved_distance == distance
+
 
 class TestGeneralApprox:
     def test_trivial_word_rejected(self):
