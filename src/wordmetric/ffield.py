@@ -482,20 +482,21 @@ def find_any_root(f: FqPoly) -> Optional[int]:
     linear = FqPoly.x_pow_minus_x(F, F.q, f).gcd(f)
     if linear.degree < 1:
         return None
-    rng = random.Random(0xF1E1D ^ F.q ^ hash(tuple(f.coeffs)) & 0xFFFFFFFF)
+    rng = random.Random(0xF1E1D ^ F.q ^ hash(tuple(linear.coeffs)) & 0xFFFFFFFF)
     g = linear
     while g.degree > 1:
         r = rng.randrange(F.q)
-        probe = FqPoly(F, [r, 1])
         if F.p == 2:
-            # trace-based splitting in characteristic two
-            acc = probe
-            t = probe
-            for _ in range(F.e * 1 - 1):
+            # Tr(rX) mod g splits off the roots a with Tr(ra) = 0; the scale r
+            # must vary, as Tr(X + r) never separates roots of equal trace
+            t = FqPoly(F, [0, r])
+            acc = t
+            for _ in range(F.e - 1):
                 t = (t * t) % g
                 acc = acc + t
             h = acc.gcd(g)
         else:
+            probe = FqPoly(F, [r, 1])
             h = (probe.powmod((F.q - 1) // 2, g) - FqPoly(F, [1])).gcd(g)
         if 0 < h.degree < g.degree:
             g = h if h.degree <= g.degree - h.degree else (g // h)
@@ -521,10 +522,7 @@ def min_extension_root(f: FqPoly, l: int):
         if probe.degree >= 1:
             big = make_field(F.p, F.e * m)
             up = embed(F, big)
-            f_big = f.map_coeffs(up, big)
-            # roots lying in the degree-m subfield of the big field
-            sub = FqPoly.x_pow_minus_x(big, F.q ** m, f_big).gcd(f_big)
-            root = find_any_root(sub if sub.degree >= 1 else f_big)
+            root = find_any_root(f.map_coeffs(up, big))
             if root is None:
                 raise AssertionError("gcd test promised a root")
             return m, root, big

@@ -15,6 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .cayley import FiniteQuotient, build_d2, smith_solve
@@ -443,15 +444,15 @@ def _mult_matrix(field: Field, modulus: FqPoly, elem: FqPoly) -> MatrixFq:
     return MatrixFq(field, rows)
 
 
-def _ring_units(field: Field, modulus: FqPoly) -> List[FqPoly]:
+@lru_cache(maxsize=None)
+def _ring_units(modulus: FqPoly) -> Tuple[FqPoly, ...]:
     """All units of F_q[X]/(modulus), by enumeration (small rings only)."""
-    d = modulus.degree
-    units = []
-    for digits in itertools.product(range(field.q), repeat=d):
-        f = FqPoly(field, list(digits))
-        if f.gcd(modulus).degree == 0 and not f.gcd(modulus).is_zero():
-            units.append(f)
-    return units
+    field = modulus.field
+    residues = (
+        FqPoly(field, list(digits))
+        for digits in itertools.product(range(field.q), repeat=modulus.degree)
+    )
+    return tuple(f for f in residues if f.gcd(modulus).degree == 0)
 
 
 @dataclass
@@ -486,13 +487,10 @@ def _try_wreath_plan(w: Word, chi: FqPoly, count: int) -> Optional[_WreathPlan]:
         modulus = compose_with_power(chi, c).monic()
         if modulus.evaluate(0) == 0:
             continue
-        units = _ring_units(field, modulus)
         quotient = FiniteQuotient.cyclic(r)
         mat = build_d2(w, quotient)
         x_target = FqPoly(field, [0] * c + [1]) % modulus
-        solution = _solve_units(
-            [list(row) for row in mat.rows], [x_target] * r, units, modulus
-        )
+        solution = _solve_units([list(row) for row in mat.rows], [x_target] * r, modulus)
         if solution is None:
             continue
         return _WreathPlan(
@@ -511,34 +509,25 @@ def _try_wreath_plan(w: Word, chi: FqPoly, count: int) -> Optional[_WreathPlan]:
 def _solve_units(
     m: List[List[int]],
     target: List[FqPoly],
-    units: List[FqPoly],
     modulus: FqPoly,
 ) -> Optional[List[FqPoly]]:
-    """Solve M xi = target multiplicatively over the unit group of the ring;
-    each diagonal equation eta^d = rhs is solved by scanning the (small)
-    unit group."""
+    """Solve M xi = target multiplicatively over the unit group of
+    F_q[X]/(modulus); each diagonal equation eta^d = rhs is solved by
+    scanning the (small) unit group."""
+    units = _ring_units(modulus)
     one = FqPoly(modulus.field, [1])
 
     def mul(a: FqPoly, b: FqPoly) -> FqPoly:
         return (a * b) % modulus
 
     def unit_power(f: FqPoly, e: int) -> FqPoly:
-        if e < 0:
-            f, e = _unit_inverse(f, modulus, units), -e
-        return power(f, e, one, mul)
+        # f^|U| = 1, so a negative exponent reduces to a nonnegative one
+        return power(f, e % len(units), one, mul)
 
     def root(d: int, rhs: FqPoly) -> Optional[FqPoly]:
         return next((cand for cand in units if unit_power(cand, d) == rhs), None)
 
     return smith_solve(m, target, one, mul, unit_power, root)[0]
-
-
-def _unit_inverse(f: FqPoly, modulus: FqPoly, units: List[FqPoly]) -> FqPoly:
-    one = FqPoly(modulus.field, [1])
-    for cand in units:
-        if ((f * cand) % modulus).coeffs == one.coeffs:
-            return cand
-    raise ValueError("element is not a unit")
 
 
 def _wreath_matrices(plan: _WreathPlan) -> Tuple[MatrixFq, MatrixFq]:
@@ -627,13 +616,7 @@ def approx_gl(w: Word, a: MatrixFq) -> GLWitness:
 
     sym_witness: Optional[Witness] = None
     if perm_chis:
-        perm_n = sum(chi.degree for chi in perm_chis)
-        cycles = []
-        off = 0
-        for chi in perm_chis:
-            cycles.append(list(range(off, off + chi.degree)))
-            off += chi.degree
-        sigma = Permutation.from_cycles(perm_n, cycles)
+        sigma = Permutation.from_cycle_lengths([chi.degree for chi in perm_chis])
         sym_witness = approx(w, sigma)
         blocks.extend(frobenius_block(chi) for chi in perm_chis)
         g_blocks.append(MatrixFq.permutation(field, sym_witness.g))

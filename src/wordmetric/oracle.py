@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .ffield import Field
 from .glapprox import MatrixFq, evaluate_word_matrix, rank_distance
@@ -63,15 +63,6 @@ def _partitions(n: int, largest: Optional[int] = None) -> Iterator[Tuple[int, ..
             yield (part,) + rest
 
 
-def _partition_representative(n: int, partition: Tuple[int, ...]) -> Permutation:
-    cycles: List[List[int]] = []
-    point = 0
-    for length in partition:
-        cycles.append(list(range(point, point + length)))
-        point += length
-    return Permutation.from_cycles(n, cycles)
-
-
 def _all_permutations(n: int) -> Iterator[Permutation]:
     for images in itertools.permutations(range(n)):
         yield Permutation(images)
@@ -88,7 +79,7 @@ def word_image_sym(w: Word, n: int) -> ImageReport:
         raise ValueError(f"n must be in 1..{SYM_IMAGE_MAX_N}")
     classes = set()
     for partition in _partitions(n):
-        g = _partition_representative(n, partition)
+        g = Permutation.from_cycle_lengths(partition)
         for h in _all_permutations(n):
             classes.add(evaluate_word(w, g, h).cycle_type())
     return ImageReport(group=f"S_{n}", classes=frozenset(classes), exhaustive=True)

@@ -7,13 +7,14 @@ w(g, h) is the product of the letters of w applied in reading order.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from .words import Word, evaluate, power
 
 
 class Permutation:
-    __slots__ = ("images", "_cycles", "_cycle_type")
+    __slots__ = ("images", "_cycles")
 
     def __init__(self, images: Sequence[int]):
         self.images = tuple(images)
@@ -21,7 +22,6 @@ class Permutation:
         if sorted(self.images) != list(range(n)):
             raise ValueError("image array is not a bijection")
         self._cycles = None
-        self._cycle_type = None
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -34,6 +34,14 @@ class Permutation:
             for i, pt in enumerate(cyc):
                 images[pt] = cyc[(i + 1) % len(cyc)]
         return Permutation(images)
+
+    @staticmethod
+    def from_cycle_lengths(lengths: Sequence[int]) -> "Permutation":
+        """Cycles of the given lengths, in order, on consecutive points."""
+        starts = accumulate(lengths, initial=0)
+        return Permutation.from_cycles(
+            sum(lengths), [range(start, start + k) for start, k in zip(starts, lengths)]
+        )
 
     @property
     def degree(self) -> int:
@@ -83,14 +91,16 @@ class Permutation:
             self._cycles = cycles
         return self._cycles
 
+    def cycles_by_length(self) -> Dict[int, List[List[int]]]:
+        """The cycles grouped by length, each group in the order of cycles()."""
+        by_len: Dict[int, List[List[int]]] = {}
+        for cyc in self.cycles():
+            by_len.setdefault(len(cyc), []).append(cyc)
+        return by_len
+
     def cycle_type(self) -> Tuple[Tuple[int, int], ...]:
         """Multiset of (length, count), lengths ascending."""
-        if self._cycle_type is None:
-            counts: Dict[int, int] = {}
-            for cyc in self.cycles():
-                counts[len(cyc)] = counts.get(len(cyc), 0) + 1
-            self._cycle_type = tuple(sorted(counts.items()))
-        return self._cycle_type
+        return tuple(sorted((k, len(cycles)) for k, cycles in self.cycles_by_length().items()))
 
     def conjugate(self, relabel: "Permutation") -> "Permutation":
         """The same permutation after renaming points by ``relabel``."""

@@ -171,11 +171,8 @@ def _standard_form(w: Word) -> SyllableForm:
 
 
 def _check_exponents(form: SyllableForm, p: int):
-    for a, b in form.syllables:
-        if a % p == 0 or b % p == 0:
-            raise ValueError(
-                f"characteristic {p} divides a syllable exponent of the word"
-            )
+    if form.divides_exponent(p):
+        raise ValueError(f"characteristic {p} divides a syllable exponent of the word")
 
 
 def _unipotent_pair(field: Field, u: int) -> Tuple[SL2Elem, SL2Elem]:
@@ -229,7 +226,6 @@ class TraceSolution:
     field: Field
     g: SL2Elem
     h: SL2Elem
-    parameter: int
 
 
 def solve_trace(w: Word, field: Field, t: int) -> TraceSolution:
@@ -248,30 +244,41 @@ def solve_trace(w: Word, field: Field, t: int) -> TraceSolution:
     if found is None:
         raise AssertionError("degree argument guarantees a root within l")
     m, u, big = found
-    g_std, h_std = _unipotent_pair(big, u)
-    g, h = (h_std, g_std) if form.swapped else (g_std, h_std)
+    g, h = form.pair(*_unipotent_pair(big, u))
     value = evaluate_word_sl2(w, g, h)
     t_big = embed(field, big)(t)
     if value.trace() != t_big:
         raise AssertionError("trace verification failed")
-    return TraceSolution(m=m, field=big, g=g, h=h, parameter=u)
+    return TraceSolution(m=m, field=big, g=g, h=h)
 
 
 @dataclass
-class IsotypicValue:
-    """A word value acting on q^{im}+1 points with almost all cycles equal.
+class BlockValue:
+    """A word value sigma = w(g_perm, h_perm) on the projective line.
 
-    sigma = w(g_perm, h_perm); the matrix preimages and their projective
-    permutations are retained as the surjectivity certificate.
+    The matrix preimages g, h and their projective permutations are kept as
+    the surjectivity certificate.
     """
 
     sigma: Permutation
-    m: int
     field: Field
     g: SL2Elem
     h: SL2Elem
     g_perm: Permutation
     h_perm: Permutation
+
+    @property
+    def defect(self) -> int:
+        """Points changed to reach some (q+1)-cycle: 0 or the cycle count."""
+        count = len(self.sigma.cycles())
+        return 0 if count == 1 else count
+
+
+def _block_value(w: Word, g: SL2Elem, h: SL2Elem) -> BlockValue:
+    g_perm = projective_permutation(g)
+    h_perm = projective_permutation(h)
+    sigma = evaluate_word(w, g_perm, h_perm)
+    return BlockValue(sigma=sigma, field=g.field, g=g, h=h, g_perm=g_perm, h_perm=h_perm)
 
 
 @lru_cache(maxsize=None)
@@ -287,21 +294,20 @@ def _isotypic_trace(w: Word, k: int, field: Field) -> TraceSolution:
     return solve_trace(w, field, field.add(lam, field.inv(lam)))
 
 
-def isotypic_word_value(w: Word, k: int, field: Field, i: int = 1) -> IsotypicValue:
+def isotypic_word_value(w: Word, k: int, field: Field, i: int = 1) -> BlockValue:
     """A w-value on q^{im}+1 points of cycle type (1^2, k^{(q^{im}-1)/k}).
 
     Requires 2k | q-1 for even k (k | q-1 for odd k) so that a trace value
     with eigenvalue of the right order exists.
     """
     sol = _isotypic_trace(w, k, field)
-    big = make_field(field.p, sol.field.e * i) if i > 1 else sol.field
-    g = sol.g.embed_into(big) if big is not sol.field else sol.g
-    h = sol.h.embed_into(big) if big is not sol.field else sol.h
-    g_perm = projective_permutation(g)
-    h_perm = projective_permutation(h)
-    sigma = evaluate_word(w, g_perm, h_perm)
-    n = big.q + 1
-    expected = normalize_type(((1, 2), (k, (big.q - 1) // k)))
+    g, h = sol.g, sol.h
+    if i > 1:
+        big = make_field(field.p, sol.field.e * i)
+        g, h = g.embed_into(big), h.embed_into(big)
+    value = _block_value(w, g, h)
+    sigma = value.sigma
+    expected = normalize_type(((1, 2), (k, (value.field.q - 1) // k)))
     if sigma.cycle_type() != expected:
         raise AssertionError(
             f"value has cycle type {sigma.cycle_type()}, expected {expected}"
@@ -311,9 +317,7 @@ def isotypic_word_value(w: Word, k: int, field: Field, i: int = 1) -> IsotypicVa
             "projective action of the matrix word value differs from the "
             "word value of the projective permutations"
         )
-    return IsotypicValue(
-        sigma=sigma, m=sol.m, field=big, g=g, h=h, g_perm=g_perm, h_perm=h_perm
-    )
+    return value
 
 
 def _cycle_count_cap(l: int, qi: int) -> int:
@@ -322,20 +326,7 @@ def _cycle_count_cap(l: int, qi: int) -> int:
     return 1 + root if root * root == l * qi else 2 + root
 
 
-@dataclass
-class NearCycleValue:
-    """A w-value on q+1 points differing from a long cycle in few points."""
-
-    sigma: Permutation
-    field: Field
-    g: SL2Elem
-    h: SL2Elem
-    g_perm: Permutation
-    h_perm: Permutation
-    defect: int  # points changed to reach some (q+1)-cycle
-
-
-def near_cycle_word_value(w: Word, field: Field) -> NearCycleValue:
+def near_cycle_word_value(w: Word, field: Field) -> BlockValue:
     """Sweep the trace parameter and keep the value closest to a long cycle.
 
     Requires q > 4l.  The defect (number of cycles when there is more than
@@ -345,35 +336,25 @@ def near_cycle_word_value(w: Word, field: Field) -> NearCycleValue:
     _check_exponents(form, field.p)
     if field.q <= 4 * form.l:
         raise ValueError(f"need q > 4l = {4 * form.l}, got q = {field.q}")
-    best: Optional[Tuple[int, int]] = None  # (cycle_count, parameter)
+    best: Optional[Tuple[int, SL2Elem, SL2Elem]] = None  # (cycle_count, g, h)
     for u in range(1, field.q):
-        g_std, h_std = _unipotent_pair(field, u)
-        g_u, h_u = (h_std, g_std) if form.swapped else (g_std, h_std)
-        value = evaluate_word_sl2(w, g_u, h_u)
+        g, h = form.pair(*_unipotent_pair(field, u))
+        value = evaluate_word_sl2(w, g, h)
         if value.is_central():
             continue
         ctype = classify_cycle_type(value)
         count = sum(c for _, c in ctype)
         if best is None or count < best[0]:
-            best = (count, u)
+            best = (count, g, h)
         if count == 1:
             break
     if best is None:
         raise AssertionError("no noncentral value found in the sweep")
-    _, u = best
-    g_std, h_std = _unipotent_pair(field, u)
-    g, h = (h_std, g_std) if form.swapped else (g_std, h_std)
-    g_perm = projective_permutation(g)
-    h_perm = projective_permutation(h)
-    sigma = evaluate_word(w, g_perm, h_perm)
-    cycles = sigma.cycles()
-    defect = 0 if len(cycles) == 1 else len(cycles)
+    value = _block_value(w, *best[1:])
     cap = _cycle_count_cap(form.l, field.q)
-    if defect > cap:
+    if value.defect > cap:
         raise AssertionError(
-            f"defect {defect} violates the 2 + sqrt(q*l) bound: "
+            f"defect {value.defect} violates the 2 + sqrt(q*l) bound: "
             f"at most {cap} for q={field.q}, l={form.l}"
         )
-    return NearCycleValue(
-        sigma=sigma, field=field, g=g, h=h, g_perm=g_perm, h_perm=h_perm, defect=defect
-    )
+    return value

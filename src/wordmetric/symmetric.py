@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .ffield import is_prime, make_field
 from .perms import Permutation, evaluate_word, hamming_distance
 from .sl2 import (
-    IsotypicValue,
-    NearCycleValue,
+    BlockValue,
     _cycle_count_cap,
     _isotypic_trace,
     isotypic_word_value,
@@ -120,13 +119,6 @@ class Witness:
         }
 
 
-def standard_isotypic(k: int, c: int) -> Permutation:
-    """c cycles of length k on consecutive points."""
-    return Permutation.from_cycles(
-        k * c, [list(range(j * k, (j + 1) * k)) for j in range(c)]
-    )
-
-
 # -- cycle alignment ---------------------------------------------------------
 
 
@@ -137,12 +129,8 @@ def cycle_alignment(value: Permutation, target: Permutation) -> Permutation:
     leftover cycles on both sides are concatenated longest-first and laid
     over each other, which costs at most one point per cycle end.
     """
-    by_len_value: Dict[int, List[List[int]]] = {}
-    by_len_target: Dict[int, List[List[int]]] = {}
-    for cyc in value.cycles():
-        by_len_value.setdefault(len(cyc), []).append(cyc)
-    for cyc in target.cycles():
-        by_len_target.setdefault(len(cyc), []).append(cyc)
+    by_len_value = value.cycles_by_length()
+    by_len_target = target.cycles_by_length()
     images = [None] * value.degree
     left_value: List[List[int]] = []
     left_target: List[List[int]] = []
@@ -188,17 +176,13 @@ def _aligned_witness(
 
 # -- prime searches and cached block values ----------------------------------
 
-def _divides_exponent(p: int, form: SyllableForm) -> bool:
-    return any(a % p == 0 or b % p == 0 for a, b in form.syllables)
-
-
 @lru_cache(maxsize=None)
 def _small_k_params(w: Word, form: SyllableForm, k: int) -> Tuple[int, int]:
     """(p, m): least usable prime with 2k | p-1 (k | p-1 for odd k), and the
     extension degree m <= l of the trace solution over F_p."""
     need = 2 * k if k % 2 == 0 else k
     p = need + 1
-    while not is_prime(p) or _divides_exponent(p, form):
+    while not is_prime(p) or form.divides_exponent(p):
         p += need
     return p, _isotypic_trace(w, k, make_field(p, 1)).field.e
 
@@ -206,18 +190,18 @@ def _small_k_params(w: Word, form: SyllableForm, k: int) -> Tuple[int, int]:
 @lru_cache(maxsize=None)
 def _large_k_prime(form: SyllableForm) -> int:
     p = 4 * form.l + 1
-    while not is_prime(p) or _divides_exponent(p, form):
+    while not is_prime(p) or form.divides_exponent(p):
         p += 1
     return p
 
 
 @lru_cache(maxsize=None)
-def _isotypic_value(w: Word, k: int, p: int, i: int) -> IsotypicValue:
+def _isotypic_value(w: Word, k: int, p: int, i: int) -> BlockValue:
     return isotypic_word_value(w, k, make_field(p, 1), i)
 
 
 @lru_cache(maxsize=None)
-def _near_value(w: Word, p: int, i: int) -> NearCycleValue:
+def _near_value(w: Word, p: int, i: int) -> BlockValue:
     return near_cycle_word_value(w, make_field(p, i))
 
 
@@ -267,7 +251,7 @@ def approx_isotypic(w: Word, k: int, c_k: int) -> Witness:
     if k < 1 or c_k < 1:
         raise ValueError("need k >= 1 and c_k >= 1")
     n = k * c_k
-    target = standard_isotypic(k, c_k)
+    target = Permutation.from_cycle_lengths([k] * c_k)
     if k == 1:
         ident = Permutation.identity(n)
         return Witness(
@@ -333,10 +317,7 @@ def _power_value(a: int, sigma: Permutation) -> Tuple[Permutation, dict]:
     new_cycles: List[List[int]] = []
     trace_blocks = {}
     pooled: List[List[int]] = []
-    by_len: Dict[int, List[List[int]]] = {}
-    for cyc in sigma.cycles():
-        by_len.setdefault(len(cyc), []).append(cyc)
-    for k, cycles in sorted(by_len.items()):
+    for k, cycles in sorted(sigma.cycles_by_length().items()):
         if k == 1:
             trace_blocks[str(k)] = {"fixed": len(cycles)}
             continue
@@ -401,7 +382,7 @@ def _power_witness(w: Word, form: SyllableForm, sigma: Permutation) -> Witness:
     tau, trace_blocks = _power_value(a, sigma if e > 0 else sigma.inverse())
     ident = Permutation.identity(sigma.degree)
     # with both generators powers of tau, conjugate words evaluate identically
-    g, h = (ident, tau) if form.swapped else (tau, ident)
+    g, h = form.pair(tau, ident)
     value = evaluate_word(w, g, h)
     achieved = hamming_distance(sigma, value)
     return Witness(
@@ -427,15 +408,12 @@ def approx(w: Word, sigma: Permutation) -> Witness:
     if form.kind == "power":
         return _power_witness(w, form, sigma)
     n = sigma.degree
-    by_len: Dict[int, List[List[int]]] = {}
-    for cyc in sigma.cycles():
-        by_len.setdefault(len(cyc), []).append(cyc)
     g_images = list(range(n))
     h_images = list(range(n))
     weighted = Fraction(0)
     bound = Fraction(0)
     trace_blocks = {}
-    for k, cycles in sorted(by_len.items()):
+    for k, cycles in sorted(sigma.cycles_by_length().items()):
         block_pts = [p for cyc in cycles for p in cyc]
         c_k = len(cycles)
         if k == 1:

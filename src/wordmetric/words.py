@@ -44,10 +44,6 @@ class Word:
             if gen not in GENERATORS:
                 raise ValueError(f"unknown generator {gen!r}")
 
-    @staticmethod
-    def identity() -> "Word":
-        return Word(())
-
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
 
@@ -62,10 +58,6 @@ class Word:
 
     def is_trivial(self) -> bool:
         return not self.letters
-
-    def length(self) -> int:
-        """Word length counting letters with multiplicity."""
-        return sum(abs(e) for _, e in self.letters)
 
     def cyclic_reduce(self) -> "Word":
         """Cyclically reduced conjugate: no cancellation across the seam.
@@ -119,6 +111,15 @@ class SyllableForm:
     @property
     def l(self) -> int:
         return len(self.syllables)
+
+    def pair(self, g, h):
+        """Values (g, h) of the standard form's x and y, given in the order of
+        the word's own generators: exchanged when the form swapped them."""
+        return (h, g) if self.swapped else (g, h)
+
+    def divides_exponent(self, p: int) -> bool:
+        """Whether p divides some syllable exponent."""
+        return any(a % p == 0 or b % p == 0 for a, b in self.syllables)
 
     def standard_word(self) -> Word:
         """The word x^{a_1} y^{b_1} ... in standard position."""

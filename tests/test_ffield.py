@@ -1,8 +1,14 @@
 """Finite fields, polynomials over them, embeddings, root finding."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import wordmetric
 
 from wordmetric.ffield import (
     Field,
@@ -193,6 +199,76 @@ class TestRoots:
         # fields above 4096 elements take the seeded splitting path
         m, found, big = min_extension_root(FqPoly(make_field(p, 1), coeffs), 4)
         assert (m, found, big.q) == (4, root, q)
+
+
+# Each call ran for more than 40 s before the characteristic-2 splitting
+# probe became Tr(rX): Tr(X + r) = Tr(X) + Tr(r) never separates roots whose
+# absolute traces agree, and Frobenius conjugates always agree.
+CHAR2_CALLS = {
+    "x2_plus_x": (
+        "F = make_field(2, 14)\n"
+        "f = FqPoly(F, [0, 1, 1])\n"
+        "r = find_any_root(f)\n"
+        "print(json.dumps([r, f.evaluate(r)]))\n"
+    ),
+    "x2_plus_x_plus_1": (
+        "F = make_field(2, 14)\n"
+        "f = FqPoly(F, [1, 1, 1])\n"
+        "r = find_any_root(f)\n"
+        "print(json.dumps([r, f.evaluate(r)]))\n"
+    ),
+    "embedding": "print(json.dumps(embedding((2, 2), (2, 14))))\n",
+    "solve_trace": (
+        "w = parse_word('x y x y x y^-1')\n"
+        "sol = solve_trace(w, make_field(2, 7), 1)\n"
+        "value = evaluate_word_sl2(w, sol.g, sol.h)\n"
+        "print(json.dumps([sol.field.p, sol.field.e, value.trace()]))\n"
+    ),
+}
+
+
+def _run_child(body):
+    code = (
+        "import json\n"
+        "from wordmetric.ffield import FqPoly, embedding, find_any_root, make_field\n"
+        "from wordmetric.sl2 import evaluate_word_sl2, solve_trace\n"
+        "from wordmetric.words import parse_word\n" + body
+    )
+    src = os.path.dirname(os.path.dirname(wordmetric.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("name", ["x2_plus_x", "x2_plus_x_plus_1"])
+def test_characteristic_two_root_is_found(name):
+    root, value = _run_child(CHAR2_CALLS[name])
+    assert 0 <= root < 2**14
+    assert value == 0
+
+
+def test_characteristic_two_embedding_is_a_ring_hom():
+    table = _run_child(CHAR2_CALLS["embedding"])
+    small, big = make_field(2, 2), make_field(2, 14)
+    assert len(table) == small.q
+    assert len(set(table)) == small.q
+    for a in range(small.q):
+        for b in range(small.q):
+            assert table[small.add(a, b)] == big.add(table[a], table[b])
+            assert table[small.mul(a, b)] == big.mul(table[a], table[b])
+
+
+def test_characteristic_two_trace_is_solved():
+    # the trace polynomial has degree 3, so the root field is F_{2^(7m)}, m <= 3
+    p, e, trace = _run_child(CHAR2_CALLS["solve_trace"])
+    assert p == 2 and e in (7, 14, 21)
+    assert trace == 1
 
 
 def _monic_polys(p, degree):

@@ -400,6 +400,22 @@ class TestApproxGL:
         assert (plan.c, plan.r, plan.s) == (2, 2, 0)
         assert [f.coeffs for f in plan.edge_values] == edge_values
 
+    def test_unit_group_is_enumerated_once(self, monkeypatch):
+        # the units of F_q[X]/(chi(X^c)) depend on the modulus alone
+        chi = FqPoly(make_field(3, 1), [1, 1])
+        first = _try_wreath_plan(parse_word("[x,y]"), chi, 5)
+        calls = []
+        orig = FqPoly.gcd
+
+        def counted(self, other):
+            calls.append(other)
+            return orig(self, other)
+
+        monkeypatch.setattr(FqPoly, "gcd", counted)
+        second = _try_wreath_plan(parse_word("[x,y]"), chi, 5)
+        assert calls == []
+        assert [f.coeffs for f in second.edge_values] == [f.coeffs for f in first.edge_values]
+
     def test_scalar_target_takes_the_unit_wreath_path(self):
         F = make_field(3, 1)
         target = MatrixFq(F, [[2, 0], [0, 2]])

@@ -198,6 +198,12 @@ class TestNearCycle:
             cycles = len(near.sigma.cycles())
             assert cycles == max(1, near.defect)
 
+    def test_long_cycle_has_no_defect(self):
+        # in characteristic 2, SL2(q) has elements of order q + 1
+        near = near_cycle_word_value(parse_word("[x,y]"), make_field(2, 4))
+        assert near.sigma.cycle_type() == ((17, 1),)
+        assert near.defect == 0
+
     def test_requires_large_field(self):
         with pytest.raises(ValueError):
             near_cycle_word_value(parse_word("[x,y]"), make_field(5, 1))

@@ -26,6 +26,35 @@ def test_no_bare_assert_in_package():
     assert not found, f"bare assert in the package: {found}"
 
 
+def test_private_helpers_are_referenced():
+    # a private function or class that only its definition names is dead
+    src = os.path.dirname(wordmetric.__file__)
+    defined = {}
+    uses = {}
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(src, name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found = node.name
+                if found.startswith("_") and not found.endswith("__"):
+                    defined.setdefault(found, f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                found = node.id
+            elif isinstance(node, ast.Attribute):
+                found = node.attr
+            elif isinstance(node, ast.alias):
+                found = node.name
+            else:
+                continue
+            uses[found] = uses.get(found, 0) + 1
+    unused = sorted(where for helper, where in defined.items() if uses[helper] < 2)
+    assert not unused, f"private helpers named only where defined: {unused}"
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer patches the package's functions by name; a
     # rename must fail here, not only in the benchmark

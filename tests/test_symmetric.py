@@ -53,6 +53,21 @@ class TestPermutations:
         s = parse_cycle_notation("(0 1)(2 3 4)", 7)
         assert s.cycle_type() == ((1, 2), (2, 1), (3, 1))
 
+    def test_cycles_by_length_keeps_the_cycle_order(self):
+        rng = random.Random(3)
+        for _ in range(30):
+            s = random_permutation(rng.randint(1, 12), rng)
+            by_len = s.cycles_by_length()
+            for k, cycles in by_len.items():
+                assert cycles == [cyc for cyc in s.cycles() if len(cyc) == k]
+            assert tuple(sorted((k, len(c)) for k, c in by_len.items())) == s.cycle_type()
+
+    def test_from_cycle_lengths_uses_consecutive_points(self):
+        s = Permutation.from_cycle_lengths([3, 1, 2])
+        assert s == parse_cycle_notation("(0 1 2)(4 5)", 6)
+        assert s.cycles() == [[0, 1, 2], [3], [4, 5]]
+        assert Permutation.from_cycle_lengths([]) == Permutation.identity(0)
+
     def test_hamming_distance_is_a_metric(self):
         rng = random.Random(1)
         for _ in range(30):

@@ -103,6 +103,16 @@ class TestClassify:
         assert form.kind == "alternating"
         assert form.standard_word() == parse_word("x^-1 y^-1 x y^2")
 
+    def test_pair_exchanges_only_swapped_forms(self):
+        assert classify(parse_word("[x,y]")).pair("g", "h") == ("g", "h")
+        assert classify(parse_word("y^-1 x^-1 y x^2")).pair("g", "h") == ("h", "g")
+        assert classify(parse_word("y^3")).pair("g", "h") == ("h", "g")
+
+    def test_divides_exponent(self):
+        form = classify(parse_word("x^2 y^3 x^-1 y^-5"))
+        assert form.syllables == ((2, 3), (-1, -5))
+        assert [p for p in (2, 3, 5, 7, 11) if form.divides_exponent(p)] == [2, 3, 5]
+
 
 class TestMagnus:
     def test_magnus_of_product_is_product(self):
