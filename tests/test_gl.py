@@ -255,6 +255,35 @@ class TestSimilarityTransform:
                     [0, 1, 0, 0, 0],
                 ],
             ),
+            # n^2 rows at or above the prime-field numpy threshold
+            (
+                46,
+                2,
+                6,
+                [
+                    [1, 0, 0, 1, 1, 1],
+                    [1, 1, 0, 1, 0, 0],
+                    [0, 0, 1, 0, 0, 1],
+                    [0, 0, 0, 0, 1, 1],
+                    [0, 0, 1, 1, 1, 1],
+                    [1, 0, 0, 0, 0, 0],
+                ],
+            ),
+            (
+                47,
+                5,
+                8,
+                [
+                    [1, 3, 3, 0, 2, 4, 4, 3],
+                    [2, 3, 2, 1, 2, 0, 1, 2],
+                    [2, 0, 1, 1, 3, 2, 0, 1],
+                    [2, 0, 1, 1, 1, 0, 1, 1],
+                    [4, 4, 1, 1, 0, 0, 3, 1],
+                    [0, 2, 0, 3, 2, 3, 3, 4],
+                    [2, 0, 2, 1, 3, 0, 4, 2],
+                    [1, 0, 0, 0, 0, 0, 0, 0],
+                ],
+            ),
         ]
         for seed, p, n, expected in cases:
             F = make_field(p, 1)
@@ -422,6 +451,50 @@ class TestApproxGL:
         wit = approx_gl(parse_word("[x,y]"), target)
         assert [part["path"] for part in wit.trace["summands"]] == ["unit-wreath"]
         assert wit.achieved_distance == 0
+
+    def test_commutator_witness_is_pinned(self):
+        # n = 12 over F_3: S comes from a 144 x 144 system
+        F = make_field(3, 1)
+        target = random_invertible(F, 12, random.Random(12))
+        wit = approx_gl(parse_word("[x,y]"), target)
+        g_rows = [
+            [2, 1, 1, 1, 0, 2, 1, 1, 1, 1, 2, 2],
+            [2, 1, 1, 0, 1, 1, 2, 0, 1, 0, 2, 2],
+            [1, 0, 2, 2, 0, 2, 0, 1, 2, 2, 2, 2],
+            [2, 0, 1, 2, 1, 0, 0, 1, 2, 0, 2, 1],
+            [2, 1, 1, 1, 2, 1, 2, 1, 2, 2, 2, 0],
+            [1, 1, 0, 1, 2, 1, 0, 2, 1, 0, 2, 0],
+            [2, 0, 1, 0, 1, 2, 0, 1, 1, 1, 0, 0],
+            [0, 2, 2, 0, 0, 1, 0, 0, 1, 1, 2, 2],
+            [2, 2, 0, 1, 0, 1, 0, 1, 1, 1, 1, 2],
+            [1, 2, 0, 2, 2, 0, 1, 0, 2, 1, 2, 2],
+            [2, 0, 2, 1, 1, 0, 1, 1, 2, 2, 0, 1],
+            [2, 0, 1, 2, 2, 0, 0, 1, 2, 0, 2, 1],
+        ]
+        h_rows = [
+            [0, 2, 2, 2, 2, 1, 0, 1, 0, 0, 2, 2],
+            [2, 0, 2, 1, 1, 1, 2, 1, 1, 1, 0, 0],
+            [1, 0, 1, 2, 1, 2, 1, 0, 2, 2, 2, 2],
+            [0, 1, 0, 2, 2, 2, 1, 1, 1, 1, 2, 2],
+            [1, 1, 2, 2, 2, 1, 0, 2, 0, 2, 1, 2],
+            [2, 1, 1, 2, 1, 2, 0, 0, 0, 2, 0, 2],
+            [2, 2, 1, 2, 2, 2, 0, 1, 1, 1, 2, 2],
+            [0, 1, 1, 0, 0, 2, 1, 1, 1, 2, 1, 0],
+            [2, 0, 0, 0, 2, 1, 0, 2, 1, 2, 2, 2],
+            [2, 1, 2, 2, 2, 2, 2, 2, 1, 1, 0, 2],
+            [2, 1, 2, 0, 0, 0, 1, 2, 2, 0, 1, 1],
+            [1, 1, 2, 2, 1, 0, 0, 2, 0, 2, 0, 2],
+        ]
+        assert wit.g.rows == tuple(map(tuple, g_rows))
+        assert wit.h.rows == tuple(map(tuple, h_rows))
+        assert wit.achieved_distance == Fraction(1, 6)
+        assert wit.trace == {
+            "path": "blockwise",
+            "summands": [
+                {"path": "cycle-blocks", "chi": [1, 1, 1, 2, 2, 1, 1, 2, 1, 1, 1, 1, 1], "count": 1}
+            ],
+            "symmetric_distance": "1/6",
+        }
 
     def test_singular_rejected(self):
         F = make_field(2, 1)
