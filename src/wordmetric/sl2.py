@@ -329,6 +329,8 @@ def _cycle_count_cap(l: int, qi: int) -> int:
 def near_cycle_word_value(w: Word, field: Field) -> BlockValue:
     """Sweep the trace parameter and keep the value closest to a long cycle.
 
+    The first parameter with the fewest cycles wins, and the sweep stops at
+    the least cycle count the field allows: one for even q, two for odd q.
     Requires q > 4l.  The defect (number of cycles when there is more than
     one) is certified below the 2 + sqrt(q*l) bound.
     """
@@ -336,6 +338,11 @@ def near_cycle_word_value(w: Word, field: Field) -> BlockValue:
     _check_exponents(form, field.p)
     if field.q <= 4 * form.l:
         raise ValueError(f"need q > 4l = {4 * form.l}, got q = {field.q}")
+    # for odd q no non-central element of SL2(q) acts on the projective line
+    # as a single (q+1)-cycle: an elliptic one of eigenvalue order o | q+1 has
+    # 2(q+1)/o cycles for even o and (q+1)/o for odd o, where q+1 is even,
+    # and the split and unipotent ones fix a point
+    fewest = 1 + field.q % 2
     best: Optional[Tuple[int, SL2Elem, SL2Elem]] = None  # (cycle_count, g, h)
     for u in range(1, field.q):
         g, h = form.pair(*_unipotent_pair(field, u))
@@ -346,7 +353,7 @@ def near_cycle_word_value(w: Word, field: Field) -> BlockValue:
         count = sum(c for _, c in ctype)
         if best is None or count < best[0]:
             best = (count, g, h)
-        if count == 1:
+        if count == fewest:
             break
     if best is None:
         raise AssertionError("no noncentral value found in the sweep")

@@ -141,8 +141,48 @@ def random_rows(field, m, n, rng):
     return rows
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def reference_rref(field, rows):
+    """Echelon form by elimination below each pivot, then back substitution."""
+    F = field
+    mat = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        below = [i for i in range(r, len(mat)) if mat[i][col]]
+        if not below:
+            continue
+        mat[r], mat[below[0]] = mat[below[0]], mat[r]
+        inv = F.inv(mat[r][col])
+        mat[r] = [F.mul(inv, x) for x in mat[r]]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][col]
+            if f:
+                mat[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+    for r in reversed(range(len(pivots))):
+        for i in range(r):
+            f = mat[i][pivots[r]]
+            if f:
+                mat[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+    return mat, pivots
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
 class TestRref:
+    def test_matches_reference_elimination(self, p, e):
+        # 1 to 40 rows, on both sides of the row count where prime fields
+        # switch to numpy arrays; an np.int64 entry would fail json.dumps
+        F = make_field(p, e)
+        rng = random.Random(p * 30 + e)
+        for m in range(1, 41):
+            rows = random_rows(F, m, rng.randint(1, 45), rng)
+            if m % 2:
+                rows = [[x if rng.random() < 0.2 else 0 for x in row] for row in rows]
+            mat, pivots = _rref(F, rows)
+            assert all(type(x) is int for row in mat for x in row)
+            assert all(type(c) is int for c in pivots)
+            assert (mat, pivots) == reference_rref(F, rows)
+
     def test_reduced_form_rank_and_nullspace(self, p, e):
         F = make_field(p, e)
         rng = random.Random(p * 10 + e)
@@ -181,6 +221,26 @@ class TestRref:
                 with pytest.raises(ValueError):
                     a.inverse()
         assert seen == {"invertible", "singular"}
+
+
+def test_word_sized_prime_is_reduced_exactly():
+    # (p - 1)^2 exceeds 2^63, so int64 products would wrap around
+    F = make_field(4294967291, 1)
+    rng = random.Random(30)
+    n = 30
+    a = MatrixFq(F, random_rows(F, n, n, rng))
+    mat, pivots = _rref(F, a.rows)
+    assert mat == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert pivots == list(range(n))
+    assert a.inverse() * a == MatrixFq.identity(F, n)
+    assert a * a.inverse() == MatrixFq.identity(F, n)
+    rows = [list(row) for row in a.rows]
+    rows[-1] = [F.add(F.mul(7, x), y) for x, y in zip(rows[0], rows[1])]
+    mat, pivots = _rref(F, rows)
+    assert (mat, pivots) == reference_rref(F, rows)
+    assert len(pivots) == n - 1
+    (v,) = _nullspace_mod_field(F, rows)
+    assert not any(x for (x,) in (MatrixFq(F, rows) * MatrixFq(F, [[c] for c in v])).rows)
 
 
 def test_inverse_is_computed_once():

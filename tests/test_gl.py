@@ -12,6 +12,7 @@ import pytest
 import wordmetric
 from wordmetric.ffield import FqPoly, make_field
 from wordmetric.glapprox import (
+    GLWitness,
     MatrixFq,
     _try_wreath_plan,
     approx_gl,
@@ -495,6 +496,43 @@ class TestApproxGL:
             ],
             "symmetric_distance": "1/6",
         }
+
+    def test_twenty_by_twenty_finishes(self):
+        # the 400 x 400 similarity system took seconds in the scalar
+        # elimination, so the witness is built in a child process under a
+        # time bound and checked here
+        F = make_field(2, 1)
+        a = random_invertible(F, 20, random.Random(20))
+        code = (
+            "import json, sys\n"
+            "from wordmetric.ffield import make_field\n"
+            "from wordmetric.glapprox import MatrixFq, approx_gl\n"
+            "from wordmetric.words import parse_word\n"
+            "a = MatrixFq(make_field(2, 1), json.loads(sys.argv[1]))\n"
+            "wit = approx_gl(parse_word('[x,y]'), a)\n"
+            "print(json.dumps([wit.g.rows, wit.h.rows, wit.value.rows,\n"
+            "                  str(wit.achieved_distance), wit.trace]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(wordmetric.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(a.rows)],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=30,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        g, h, value, distance, trace = json.loads(out.stdout)
+        wit = GLWitness(
+            word=parse_word("[x,y]"),
+            g=MatrixFq(F, g),
+            h=MatrixFq(F, h),
+            value=MatrixFq(F, value),
+            target=a,
+            achieved_distance=Fraction(distance),
+            trace=trace,
+        )
+        assert wit.g.is_invertible() and wit.h.is_invertible()
 
     def test_singular_rejected(self):
         F = make_field(2, 1)

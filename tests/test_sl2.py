@@ -6,6 +6,7 @@ import random
 import pytest
 
 from wordmetric.ffield import embed, make_field
+from wordmetric import sl2
 from wordmetric.perms import Permutation
 from wordmetric.sl2 import (
     SL2Elem,
@@ -24,6 +25,17 @@ def all_sl2(field):
     for a, b, c, d in itertools.product(range(field.q), repeat=4):
         if field.sub(field.mul(a, d), field.mul(b, c)) == 1:
             yield SL2Elem(field, a, b, c, d)
+
+
+def sl2_elements(field):
+    """Every element of SL2, with d = (1 + bc)/a or, for a = 0, c = -1/b."""
+    F = field
+    for a, b, c in itertools.product(range(F.q), repeat=3):
+        if a:
+            yield SL2Elem(F, a, b, c, F.mul(F.add(1, F.mul(b, c)), F.inv(a)))
+    for b in range(1, F.q):
+        for d in range(F.q):
+            yield SL2Elem(F, 0, b, F.neg(F.inv(b)), d)
 
 
 def random_sl2(field, rng):
@@ -207,6 +219,31 @@ class TestNearCycle:
     def test_requires_large_field(self):
         with pytest.raises(ValueError):
             near_cycle_word_value(parse_word("[x,y]"), make_field(5, 1))
+
+    @pytest.mark.parametrize(
+        "p,e,fewest",
+        [(3, 1, 2), (5, 1, 2), (7, 1, 2), (3, 2, 2), (11, 1, 2), (13, 1, 2), (2, 2, 1), (2, 3, 1)],
+    )
+    def test_least_cycle_count(self, p, e, fewest):
+        # the sweep stops at this count: one cycle needs even q
+        F = make_field(p, e)
+        elements = list(sl2_elements(F))
+        assert len(set(elements)) == F.q * (F.q**2 - 1)
+        counts = {sum(c for _, c in classify_cycle_type(g)) for g in elements if not g.is_central()}
+        assert min(counts) == fewest
+
+    def test_sweep_stops_at_two_cycles_for_odd_q(self, monkeypatch):
+        # over F_121 the first two-cycle value comes at u = 13 of 120
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return classify_cycle_type(g)
+
+        monkeypatch.setattr(sl2, "classify_cycle_type", counted)
+        near = near_cycle_word_value(parse_word("[x,y]"), make_field(11, 2))
+        assert near.defect == 2
+        assert len(calls) <= 13
 
     @pytest.mark.parametrize(
         "word,sigma,g_perm,h_perm",
