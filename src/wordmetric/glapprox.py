@@ -27,11 +27,12 @@ from .symmetric import Witness, approx
 from .words import Word, classify, evaluate, power
 
 
-# From this many rows on, a prime field is reduced on numpy arrays: the dense
-# n^2 x n^2 similarity systems run an order of magnitude faster there, while
-# the scalar loop, which skips zero entries, wins on the small and sparse
-# inverse and Krylov matrices (64 x 64 over F_2: 61 ms against 4.4 ms;
-# 12 x 24 power-block inverses: 85 us against 316 us).
+# From this many rows on, a prime field is reduced on numpy arrays: the
+# n^2 x n^2 similarity systems run several times faster there from 25 rows,
+# while the scalar loop, which skips zero entries, wins on the small and
+# sparse inverse and Krylov matrices.  On 2 x86-64 cores, a 36-row similarity
+# system over F_2 took 5.7 ms scalar against 1.2 ms, and a 12 x 24
+# power-block inverse 0.13 ms against 0.29 ms.
 _NUMPY_MIN_ROWS = 24
 
 
