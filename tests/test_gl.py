@@ -10,10 +10,12 @@ from fractions import Fraction
 import pytest
 
 import wordmetric
+from wordmetric import glapprox
 from wordmetric.ffield import FqPoly, make_field
 from wordmetric.glapprox import (
     GLWitness,
     MatrixFq,
+    _rref,
     _try_wreath_plan,
     approx_gl,
     compose_with_power,
@@ -49,6 +51,55 @@ def poly_at(f, a):
     for c in reversed(f.coeffs):
         acc = acc * a + MatrixFq(F, [[c if i == j else 0 for j in range(n)] for i in range(n)])
     return acc
+
+
+def reference_similarity_transform(a, b):
+    """S with S*A = B*S from the nullspace of the n^2 x n^2 linear system on
+    the entries of S, and the path that chose it: the first invertible
+    vector of the basis that is the identity on the free columns, else the
+    first invertible Random(0) combination of that basis."""
+    if a == b:
+        return MatrixFq.identity(a.field, a.n), "identity"
+    F, n = a.field, a.n
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for k in range(n):
+                row[i * n + k] = F.add(row[i * n + k], a.rows[k][j])
+                row[k * n + j] = F.sub(row[k * n + j], b.rows[i][k])
+            rows.append(row)
+    mat, pivots = _rref(F, rows)
+    basis = []
+    for fc in range(n * n):
+        if fc in pivots:
+            continue
+        vec = [0] * (n * n)
+        vec[fc] = 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = F.neg(mat[r][fc])
+        basis.append(vec)
+    if not basis:
+        raise ValueError("matrices are not similar")
+
+    def to_matrix(vec):
+        return MatrixFq(F, [vec[i * n:(i + 1) * n] for i in range(n)])
+
+    for vec in basis:
+        s = to_matrix(vec)
+        if s.is_invertible():
+            return s, "basis"
+    rng = random.Random(0)
+    for _ in range(500):
+        vec = [0] * (n * n)
+        for bvec in basis:
+            coef = rng.randrange(F.q)
+            if coef:
+                vec = [F.add(v, F.mul(coef, e)) for v, e in zip(vec, bvec)]
+        s = to_matrix(vec)
+        if s.is_invertible():
+            return s, "random"
+    raise ValueError("matrices are not similar (no invertible intertwiner found)")
 
 
 def random_permutation(n, rng):
@@ -295,6 +346,61 @@ class TestSimilarityTransform:
             s = similarity_transform(a, b)
             assert [list(row) for row in s.rows] == expected
             assert s * a == b * s
+
+    def test_matches_reference_construction(self, monkeypatch):
+        # cyclic targets, conjugated block sums with two and three repeated
+        # invariant factors, and the companion sums that approx_gl builds
+        pairs = []
+        rng = random.Random(48)
+        for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2)):
+            F = make_field(p, e)
+            for _ in range(8):
+                n = rng.randint(1, 8)
+                a = random_invertible(F, n, rng)
+                conj = random_invertible(F, n, rng)
+                pairs.append((a, conj.inverse() * a * conj))
+            for _ in range(3):
+                chi = random_monic(F, rng.randint(2, 4), rng)
+                conj = random_invertible(F, chi.degree, rng)
+                block = frobenius_block(chi)
+                pairs.append((conj.inverse() * block * conj, block))
+            for count in (2, 3):
+                for _ in range(4):
+                    s = random_monic(F, rng.randint(1, 8 // count), rng)
+                    chain = [s] * count
+                    if count * s.degree < 8 and rng.random() < 0.5:
+                        chain[-1] = s * random_monic(F, 1, rng)
+                    block = MatrixFq.block_diag(F, [frobenius_block(f) for f in chain])
+                    left = random_invertible(F, block.n, rng)
+                    right = random_invertible(F, block.n, rng)
+                    pairs.append(
+                        (left.inverse() * block * left, right.inverse() * block * right)
+                    )
+        calls = []
+        orig = glapprox.similarity_transform
+
+        def recorded(a, b):
+            calls.append((a, b))
+            return orig(a, b)
+
+        monkeypatch.setattr(glapprox, "similarity_transform", recorded)
+        for seed, p, n, word in ((49, 2, 6, "[x,y]"), (50, 3, 6, "[x,y]"), (51, 5, 5, "x^2")):
+            approx_gl(parse_word(word), random_invertible(make_field(p, 1), n, random.Random(seed)))
+        approx_gl(parse_word("[x,y]"), MatrixFq(make_field(3, 1), [[2, 0], [0, 2]]))
+        assert len(calls) == 4
+        pairs.extend(calls)
+        # the pinned pair whose basis has no invertible vector
+        F = make_field(2, 1)
+        rng = random.Random(45)
+        a = random_invertible(F, 4, rng)
+        conj = random_invertible(F, 4, rng)
+        pairs.append((a, conj.inverse() * a * conj))
+        paths = set()
+        for a, b in pairs:
+            expected, path = reference_similarity_transform(a, b)
+            paths.add(path)
+            assert similarity_transform(a, b) == expected
+        assert paths == {"identity", "basis", "random"}
 
     def test_dissimilar_rejected(self):
         F = make_field(3, 1)
