@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .cayley import FiniteQuotient, build_d2, smith_solve
 from .ffield import Field, FqPoly, make_field
 from .perms import Permutation
@@ -27,23 +25,8 @@ from .symmetric import Witness, approx
 from .words import Word, classify, evaluate, power
 
 
-# From this many rows on, a prime field is reduced on numpy arrays: the
-# n^2 x n^2 similarity systems run several times faster there from 25 rows,
-# while the scalar loop, which skips zero entries, wins on the small and
-# sparse inverse and Krylov matrices.  On 2 x86-64 cores, a 36-row similarity
-# system over F_2 took 5.7 ms scalar against 1.2 ms, and a 12 x 24
-# power-block inverse 0.13 ms against 0.29 ms.
-_NUMPY_MIN_ROWS = 24
-
-
 def _rref(field: Field, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form over the field, with its pivot columns.
-
-    The form is unique, so both kernels return the same rows, as ints.
-    """
-    # every int64 intermediate lies within +-(p-1)^2
-    if field.e == 1 and len(rows) >= _NUMPY_MIN_ROWS and (field.p - 1) ** 2 < 2**63:
-        return _rref_prime_array(field.p, rows)
+    """Reduced row echelon form over the field, with its pivot columns."""
     F = field
     mat = [list(r) for r in rows]
     m = len(mat)
@@ -57,47 +40,24 @@ def _rref(field: Field, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]],
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        # the pivot row is zero left of col, so only the columns from col on
+        # change, and only where the pivot row is nonzero
         inv = F.inv(mat[rank][col])
-        mat[rank] = [F.mul(inv, e) for e in mat[rank]]
+        row = [F.mul(inv, e) if e else 0 for e in mat[rank][col:]]
+        mat[rank][col:] = row
         for i in range(m):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(mat[i], mat[rank])]
+            f = mat[i][col]
+            if i != rank and f:
+                tail = zip(mat[i][col:], row)
+                mat[i][col:] = [F.sub(x, F.mul(f, y)) if y else x for x, y in tail]
         pivots.append(col)
     return mat, pivots
-
-
-def _rref_prime_array(p: int, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
-    """The elimination of `_rref` over F_p, one pivot step per numpy update."""
-    mat = np.array(rows, dtype=np.int64)
-    m, ncols = mat.shape
-    pivots: List[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == m:
-            break
-        nonzero = np.flatnonzero(mat[rank:, col])
-        if not nonzero.size:
-            continue
-        pivot = rank + int(nonzero[0])
-        if pivot != rank:
-            mat[[rank, pivot]] = mat[[pivot, rank]]
-        # left of col the pivot row is zero, so only the columns from col on
-        # change, and like the scalar loop only the rows with a nonzero in col
-        prow = mat[rank, col:] * pow(int(mat[rank, col]), p - 2, p) % p
-        mat[rank, col:] = prow
-        hit = np.flatnonzero(mat[:, col])
-        hit = hit[hit != rank]
-        if hit.size:
-            mat[hit, col:] = (mat[hit, col:] - np.outer(mat[hit, col], prow)) % p
-        pivots.append(col)
-    return mat.tolist(), pivots
 
 
 class MatrixFq:
     """Square or rectangular matrix over a Field; rows of encoded elements."""
 
-    __slots__ = ("field", "rows", "_inverse", "_invariant_factors")
+    __slots__ = ("field", "rows", "_inverse", "_decomposition")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[int]]):
         self.field = field
@@ -105,7 +65,7 @@ class MatrixFq:
         if any(len(r) != len(self.rows[0]) for r in self.rows):
             raise ValueError("ragged rows")
         self._inverse = None
-        self._invariant_factors = None
+        self._decomposition = None
 
     @property
     def n(self) -> int:
@@ -211,14 +171,22 @@ class MatrixFq:
     def is_invertible(self) -> bool:
         return self.n == self.ncols and self.rank() == self.n
 
+    def cyclic_decomposition(self) -> Tuple[Tuple[Tuple[int, ...], FqPoly], ...]:
+        """Generators w_i of A with their minimal polynomials f_i, the largest first.
+
+        The Krylov rows w_i, w_i A, ..., w_i A^(deg f_i - 1) form a basis P
+        with P A P^-1 the block sum of the companion matrices of the f_i.
+        """
+        if self._decomposition is None:
+            decomposition = _invariant_factors(self)
+            if sum(f.degree for _, f in decomposition) != self.n:
+                raise AssertionError("invariant factor degrees do not sum to n")
+            self._decomposition = decomposition
+        return self._decomposition
+
     def invariant_factors(self) -> Tuple[FqPoly, ...]:
         """Invariant factors s_1 | s_2 | ... of A, the moduli of its rational canonical form."""
-        if self._invariant_factors is None:
-            factors = _invariant_factors(self)
-            if sum(f.degree for f in factors) != self.n:
-                raise AssertionError("invariant factor degrees do not sum to n")
-            self._invariant_factors = factors
-        return self._invariant_factors
+        return tuple(f for _, f in reversed(self.cyclic_decomposition()))
 
     def __repr__(self):
         return f"MatrixFq({self.n}x{self.ncols} over GF({self.field.q}))"
@@ -285,12 +253,14 @@ def _apply(f: FqPoly, v: Sequence[int], a: MatrixFq) -> List[int]:
     return acc
 
 
-def _invariant_factors(a: MatrixFq) -> Tuple[FqPoly, ...]:
-    """Invariant factors of A, the largest last.
+def _invariant_factors(a: MatrixFq) -> Tuple[Tuple[Tuple[int, ...], FqPoly], ...]:
+    """A cyclic decomposition of A: generators with their minimal polynomials,
+    the largest first.
 
     A vector whose minimal polynomial f is that of A spans a cyclic subspace
-    that is a direct summand, so the other factors are those of A acting on
-    the quotient (Giesbrecht, SIAM J. Comput. 1995; Storjohann, ISSAC 1998).
+    that is a direct summand, so the other generators are those of A acting
+    on the quotient, each lifted to a complement (Giesbrecht, SIAM J. Comput.
+    1995; Storjohann, ISSAC 1998).
     """
     F, n = a.field, a.n
     if n == 0:
@@ -316,15 +286,25 @@ def _invariant_factors(a: MatrixFq) -> Tuple[FqPoly, ...]:
         v = [F.add(x, y) for x, y in zip(_apply(f // f1, v, a), _apply(g // g1, e, a))]
         f = f1 * g1
         if f.degree == n:
-            return (f,)
-    # in the basis of the Krylov rows of v and the unit rows off their
+            return ((tuple(v), f),)
+    # in the basis P of the Krylov rows of v and the unit rows off their
     # pivots, A is block triangular and its lower right block is the quotient
     r = f.degree
     krylov = _krylov(a, v, r)
     pivots = _rref(F, krylov)[1]
     p = MatrixFq(F, krylov + [unit[j] for j in range(n) if j not in pivots])
     m = p * a * p.inverse()
-    return _invariant_factors(MatrixFq(F, [row[r:] for row in m.rows[r:]])) + (f,)
+    lifted = []
+    for w, g in _invariant_factors(MatrixFq(F, [row[r:] for row in m.rows[r:]])):
+        # (0, w)*g(M) = (rho, 0) is v*rho(A); it is killed by (f/g)(A), so g
+        # divides rho, and (-rho/g, w) is a lift that g(M) kills
+        rho = _apply(g, [0] * r + list(w), m)
+        sigma, rem = FqPoly(F, rho[:r]).divmod(g)
+        if any(rho[r:]) or not rem.is_zero():
+            raise AssertionError("a quotient generator does not lift to a complement")
+        sigma = [F.neg(c) for c in sigma.coeffs] + [0] * (r - len(sigma.coeffs))
+        lifted.append(((MatrixFq(F, [sigma + list(w)]) * p).rows[0], g))
+    return ((tuple(v), f),) + tuple(lifted)
 
 
 # -- Frobenius blocks --------------------------------------------------------
@@ -413,25 +393,43 @@ def _nullspace_mod_field(field: Field, rows: List[List[int]]) -> List[List[int]]
 
 
 def similarity_transform(a: MatrixFq, b: MatrixFq) -> MatrixFq:
-    """Invertible S with S*A = B*S, i.e. S A S^{-1} = B."""
+    """Invertible S with S*A = B*S, i.e. S A S^{-1} = B.
+
+    S is the first invertible vector of the basis of N = {S : S*A = B*S}
+    that is the identity on the free columns of the linear system on the
+    n^2 entries of S, else the first invertible Random(0) combination of it.
+    """
     if a == b:
         return MatrixFq.identity(a.field, a.n)
+    if [f.coeffs for f in a.invariant_factors()] != [f.coeffs for f in b.invariant_factors()]:
+        raise ValueError("matrices are not similar")
     F = a.field
     n = a.n
-    # linear system on the n^2 entries of S: (S A - B S)[i][j] = 0
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n)
-            for k in range(n):
-                # S[i][k] * A[k][j]
-                row[i * n + k] = F.add(row[i * n + k], a.rows[k][j])
-                # - B[i][k] * S[k][j]
-                row[k * n + j] = F.sub(row[k * n + j], b.rows[i][k])
-            rows.append(row)
-    basis = _nullspace_mod_field(F, rows)
-    if not basis:
-        raise ValueError("matrices are not similar")
+    # v -> vS is a module map from (F^n, B) to (F^n, A), fixed by the images
+    # u_i of the generators w_i of B, free up to u_i*f_i(A) = 0: P*S has the
+    # Krylov rows of the u_i under A, where P has those of the w_i under B
+    decomposition = b.cyclic_decomposition()
+    krylov = [row for w, f in decomposition for row in _krylov(b, w, f.degree)]
+    p_inv = MatrixFq(F, krylov).inverse()
+    unit = MatrixFq.identity(F, n).rows
+    span = []
+    offset = 0
+    for _, f in decomposition:
+        d = f.degree
+        block = MatrixFq(F, [row[offset:offset + d] for row in p_inv.rows])
+        if f == decomposition[0][1]:  # the minimal polynomial of A
+            kernel = unit
+        else:
+            kernel = _nullspace_mod_field(F, list(zip(*(_apply(f, e, a) for e in unit))))
+        for u in kernel:
+            s = block * MatrixFq(F, _krylov(a, u, d))
+            span.append([x for row in reversed(s.rows) for x in reversed(row)])
+        offset += d
+    # the basis that is the identity on the free columns is the reduced
+    # echelon form of any spanning set of N with the columns reversed, read
+    # from the last row up
+    mat, pivots = _rref(F, span)
+    basis = [row[::-1] for row in reversed(mat[:len(pivots)])]
 
     def to_matrix(vec: List[int]) -> MatrixFq:
         return MatrixFq(F, [vec[i * n:(i + 1) * n] for i in range(n)])

@@ -170,8 +170,8 @@ def reference_rref(field, rows):
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
 class TestRref:
     def test_matches_reference_elimination(self, p, e):
-        # 1 to 40 rows, on both sides of the row count where prime fields
-        # switch to numpy arrays; an np.int64 entry would fail json.dumps
+        # 1 to 40 rows, dense and sparse; an entry that is not a plain int
+        # would fail json.dumps
         F = make_field(p, e)
         rng = random.Random(p * 30 + e)
         for m in range(1, 41):
@@ -224,7 +224,7 @@ class TestRref:
 
 
 def test_word_sized_prime_is_reduced_exactly():
-    # (p - 1)^2 exceeds 2^63, so int64 products would wrap around
+    # a prime past the machine word: (p - 1)^2 exceeds 2^63
     F = make_field(4294967291, 1)
     rng = random.Random(30)
     n = 30

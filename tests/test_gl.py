@@ -237,6 +237,39 @@ class TestRationalCanonicalForm:
                 assert [f.coeffs for f in a.invariant_factors()] == [s.coeffs for s in chain]
 
 
+    def test_cyclic_decomposition(self):
+        rng = random.Random(10)
+        for p, e in ((2, 1), (3, 1), (2, 2), (5, 1)):
+            F = make_field(p, e)
+            for trial in range(12):
+                if trial % 3 == 0:
+                    n = rng.randint(1, 10)
+                    a = MatrixFq(F, [[rng.randrange(F.q) for _ in range(n)] for _ in range(n)])
+                else:
+                    s = random_monic(F, rng.randint(1, 3), rng)
+                    chain = [s] * rng.randint(2, 3)
+                    if rng.random() < 0.5:
+                        chain.append(s * random_monic(F, rng.randint(1, 2), rng))
+                    block = MatrixFq.block_diag(F, [frobenius_block(f) for f in chain])
+                    conj = random_invertible(F, block.n, rng)
+                    a = conj.inverse() * block * conj
+                decomposition = a.cyclic_decomposition()
+                krylov = []
+                for w, f in decomposition:
+                    row = MatrixFq(F, [w])
+                    assert not any((row * poly_at(f, a)).rows[0])
+                    for _ in range(f.degree):
+                        krylov.append(row.rows[0])
+                        row = row * a
+                p_mat = MatrixFq(F, krylov)
+                assert p_mat.is_invertible()
+                companions = [frobenius_block(f) for _, f in decomposition]
+                assert p_mat * a * p_mat.inverse() == MatrixFq.block_diag(F, companions)
+                assert [f.coeffs for f in a.invariant_factors()] == [
+                    f.coeffs for _, f in reversed(decomposition)
+                ]
+
+
 class TestFrobeniusBlock:
     def test_cycle_polynomial_gives_cycle_matrix(self):
         F = make_field(2, 1)
@@ -307,7 +340,7 @@ class TestSimilarityTransform:
                     [0, 1, 0, 0, 0],
                 ],
             ),
-            # n^2 rows at or above the prime-field numpy threshold
+            # larger spaces of S: n = 6 over F_2 and n = 8 over F_5
             (
                 46,
                 2,
@@ -408,6 +441,48 @@ class TestSimilarityTransform:
         b = MatrixFq(F, [[1, 1], [0, 1]])
         with pytest.raises(ValueError):
             similarity_transform(a, b)
+
+    def test_dissimilar_rejected_before_any_candidate(self, monkeypatch):
+        F3 = make_field(3, 1)
+        F2 = make_field(2, 1)
+        chi = FqPoly(F2, [1, 1, 0, 1])  # X^3 + X + 1, irreducible over F_2
+        pairs = [
+            (MatrixFq.identity(F3, 2), MatrixFq(F3, [[1, 1], [0, 1]])),
+            (
+                MatrixFq.block_diag(F2, [frobenius_block(chi)] * 2),
+                frobenius_block(chi * chi),
+            ),
+        ]
+        calls = []
+        orig = MatrixFq.is_invertible
+
+        def counted(self):
+            calls.append(self)
+            return orig(self)
+
+        monkeypatch.setattr(MatrixFq, "is_invertible", counted)
+        for a, b in pairs:
+            with pytest.raises(ValueError, match="^matrices are not similar$"):
+                similarity_transform(a, b)
+        assert calls == []
+
+    def test_cyclic_target_needs_no_more_than_n_rows(self, monkeypatch):
+        # S ranges over an n-dimensional space when the target is cyclic
+        F = make_field(3, 1)
+        a = random_invertible(F, 12, random.Random(12))
+        (chi,) = a.invariant_factors()
+        b = frobenius_block(chi)
+        shapes = []
+        orig = glapprox._rref
+
+        def recorded(field, rows):
+            shapes.append((len(rows), len(rows[0])))
+            return orig(field, rows)
+
+        monkeypatch.setattr(glapprox, "_rref", recorded)
+        s = similarity_transform(a, b)
+        assert s * a == b * s
+        assert shapes and max(rows for rows, _ in shapes) <= 12
 
 
 class TestSerialization:
@@ -560,7 +635,7 @@ class TestApproxGL:
         assert wit.achieved_distance == 0
 
     def test_commutator_witness_is_pinned(self):
-        # n = 12 over F_3: S comes from a 144 x 144 system
+        # n = 12 over F_3, a cyclic target: S ranges over a 12-dimensional space
         F = make_field(3, 1)
         target = random_invertible(F, 12, random.Random(12))
         wit = approx_gl(parse_word("[x,y]"), target)
@@ -604,9 +679,8 @@ class TestApproxGL:
         }
 
     def test_twenty_by_twenty_finishes(self):
-        # the 400 x 400 similarity system took seconds in the scalar
-        # elimination, so the witness is built in a child process under a
-        # time bound and checked here
+        # a 400 x 400 system for S took seconds to reduce, so the witness is
+        # built in a child process under a time bound and checked here
         F = make_field(2, 1)
         a = random_invertible(F, 20, random.Random(20))
         code = (
