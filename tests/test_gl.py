@@ -1,5 +1,6 @@
 """Rank metric, rational canonical form, Frobenius-block identities, GL witnesses."""
 
+import itertools
 import json
 import os
 import random
@@ -15,6 +16,8 @@ from wordmetric.ffield import FqPoly, make_field
 from wordmetric.glapprox import (
     GLWitness,
     MatrixFq,
+    _WREATH_RING_LIMIT,
+    _ring_units,
     _rref,
     _try_wreath_plan,
     approx_gl,
@@ -100,6 +103,51 @@ def reference_similarity_transform(a, b):
         if s.is_invertible():
             return s, "random"
     raise ValueError("matrices are not similar (no invertible intertwiner found)")
+
+
+def reference_ring_units(modulus):
+    """The units of F_q[X]/(modulus) in itertools.product order of the
+    coefficients (constant term first), each residue tested by a gcd."""
+    field = modulus.field
+    residues = (
+        FqPoly(field, list(digits))
+        for digits in itertools.product(range(field.q), repeat=modulus.degree)
+    )
+    return tuple(f for f in residues if f.gcd(modulus).degree == 0)
+
+
+def all_monic(field, max_degree, nonzero_constant=False):
+    """Every monic polynomial of degree 1..max_degree over field."""
+    for d in range(1, max_degree + 1):
+        for digits in itertools.product(range(field.q), repeat=d):
+            if not (nonzero_constant and digits[0] == 0):
+                yield FqPoly(field, list(digits) + [1])
+
+
+# (p, e) of every field with a ring of degree >= 2 under the limit
+RING_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (2, 4), (5, 2), (2, 5), (31, 1)]
+
+
+def seeded_moduli(count=120, seed=13):
+    """Monic moduli with q^d <= _WREATH_RING_LIMIT; every other one is
+    a^2 * b, so repeated factors are common."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        field = make_field(*rng.choice(RING_FIELDS))
+        max_d = max(d for d in range(1, 11) if field.q ** d <= _WREATH_RING_LIMIT)
+        d = rng.randint(1, max_d)
+        if i % 2 and d >= 2:
+            k = rng.randint(1, d // 2)
+            a = random_monic(field, k, rng)
+            out.append(a * a * random_monic(field, d - 2 * k, rng))
+        else:
+            out.append(random_monic(field, d, rng))
+    return out
+
+
+# the largest rings allowed: F_2 with d = 10, F_4 with d = 5, F_32 with d = 2
+LARGEST_RINGS = [(2, 1, 10), (2, 2, 5), (2, 5, 2)]
 
 
 def random_permutation(n, rng):
@@ -726,3 +774,23 @@ class TestApproxGL:
 
         with pytest.raises(ValueError):
             approx_gl(Word(()), MatrixFq.identity(F, 2))
+
+
+class TestRingUnits:
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+    def test_matches_gcd_enumeration_on_small_moduli(self, p, e):
+        for m in all_monic(make_field(p, e), 3, nonzero_constant=True):
+            assert _ring_units.__wrapped__(m) == reference_ring_units(m), m
+
+    def test_matches_gcd_enumeration_on_seeded_moduli(self):
+        for m in seeded_moduli():
+            assert _ring_units.__wrapped__(m) == reference_ring_units(m), m
+
+    @pytest.mark.parametrize("p,e,d", LARGEST_RINGS)
+    def test_matches_gcd_enumeration_on_the_largest_rings(self, p, e, d):
+        field = make_field(p, e)
+        assert field.q ** d <= _WREATH_RING_LIMIT
+        rng = random.Random(d)
+        a = random_monic(field, 1, rng)
+        for m in (random_monic(field, d, rng), a * a * random_monic(field, d - 2, rng)):
+            assert _ring_units.__wrapped__(m) == reference_ring_units(m), m
