@@ -486,15 +486,54 @@ def _mult_matrix(field: Field, modulus: FqPoly, elem: FqPoly) -> MatrixFq:
     return MatrixFq(field, rows)
 
 
+def _irreducible_factors(modulus: FqPoly) -> List[FqPoly]:
+    """The distinct monic irreducible factors of modulus, by trial division
+    with every monic polynomial, the smallest degree first. Once each factor
+    of degree below k is divided out, a monic divisor of degree k is
+    irreducible, and a rest with no divisor of degree up to half its own is
+    irreducible itself."""
+    field = modulus.field
+    rest = modulus.monic()
+    factors = []
+    k = 1
+    while 2 * k <= rest.degree:
+        for digits in itertools.product(range(field.q), repeat=k):
+            cand = FqPoly(field, list(digits) + [1])
+            quot, rem = rest.divmod(cand)
+            if rem.is_zero():
+                factors.append(cand)
+                while rem.is_zero():
+                    rest = quot
+                    quot, rem = rest.divmod(cand)
+        k += 1
+    if rest.degree >= 1:
+        factors.append(rest)
+    return factors
+
+
 @lru_cache(maxsize=None)
 def _ring_units(modulus: FqPoly) -> Tuple[FqPoly, ...]:
-    """All units of F_q[X]/(modulus), by enumeration (small rings only)."""
+    """All units of F_q[X]/(modulus) (small rings only), in the order of
+    itertools.product(range(q), repeat=deg modulus) on the coefficients,
+    constant term first. That order is the contract: _solve_units takes the
+    first root it finds in it.
+
+    A residue is a non-unit iff an irreducible factor pi of the modulus
+    divides it, so the multiples pi*g with deg g < d - deg pi are marked by
+    their position sum_j c_j q^(d-1-j) in that order, and the rest kept."""
     field = modulus.field
-    residues = (
-        FqPoly(field, list(digits))
-        for digits in itertools.product(range(field.q), repeat=modulus.degree)
+    q, d = field.q, modulus.degree
+    weights = [q ** (d - 1 - j) for j in range(d)]
+    marked = [False] * q ** d
+    for pi in _irreducible_factors(modulus):
+        for digits in itertools.product(range(q), repeat=d - pi.degree):
+            coeffs = (pi * FqPoly(field, digits)).coeffs
+            marked[sum(c * w for c, w in zip(coeffs, weights))] = True
+    return tuple(
+        FqPoly(field, digits)
+        for digits, m in zip(itertools.product(range(q), repeat=d), marked)
+        if not m
     )
-    return tuple(f for f in residues if f.gcd(modulus).degree == 0)
 
 
 @dataclass

@@ -12,11 +12,12 @@ import pytest
 
 import wordmetric
 from wordmetric import glapprox
-from wordmetric.ffield import FqPoly, make_field
+from wordmetric.ffield import FqPoly, _is_irreducible, factorize, make_field
 from wordmetric.glapprox import (
     GLWitness,
     MatrixFq,
     _WREATH_RING_LIMIT,
+    _irreducible_factors,
     _ring_units,
     _rref,
     _try_wreath_plan,
@@ -124,8 +125,35 @@ def all_monic(field, max_degree, nonzero_constant=False):
                 yield FqPoly(field, list(digits) + [1])
 
 
+def is_irreducible(poly):
+    """ffield._is_irreducible over a prime field. That test raises X to
+    powers of p, so over F_q with q = p^e > p it is Rabin's test again
+    with q: poly of degree k divides X^(q^k) - X and is coprime to
+    X^(q^(k/r)) - X for each prime r | k."""
+    field, k = poly.field, poly.degree
+    if field.e == 1:
+        return _is_irreducible(poly)
+    if k <= 0 or not FqPoly.x_pow_minus_x(field, field.q ** k, poly).is_zero():
+        return False
+    return all(
+        FqPoly.x_pow_minus_x(field, field.q ** (k // r), poly).gcd(poly).degree == 0
+        for r in factorize(k)
+    )
+
+
+def multiplicity(pi, m):
+    e = 0
+    quot, rem = m.divmod(pi)
+    while rem.is_zero():
+        e, m = e + 1, quot
+        quot, rem = m.divmod(pi)
+    return e
+
+
 # (p, e) of every field with a ring of degree >= 2 under the limit
-RING_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (2, 4), (5, 2), (2, 5), (31, 1)]
+RING_FIELDS = [
+    (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (2, 4), (5, 2), (2, 5), (31, 1)
+]
 
 
 def seeded_moduli(count=120, seed=13):
@@ -794,3 +822,47 @@ class TestRingUnits:
         a = random_monic(field, 1, rng)
         for m in (random_monic(field, d, rng), a * a * random_monic(field, d - 2, rng)):
             assert _ring_units.__wrapped__(m) == reference_ring_units(m), m
+
+    def test_first_call_takes_no_gcd(self, monkeypatch):
+        # (X + 1)^2 (X^2 + 1)^2 over F_3: 729 residues, a repeated factor
+        F = make_field(3, 1)
+        a, b = FqPoly(F, [1, 1]), FqPoly(F, [1, 0, 1])
+        modulus = a * a * b * b
+        _ring_units.cache_clear()
+        calls = []
+        orig = FqPoly.gcd
+
+        def counted(self, other):
+            calls.append(other)
+            return orig(self, other)
+
+        monkeypatch.setattr(FqPoly, "gcd", counted)
+        units = _ring_units(modulus)
+        assert calls == []
+        assert len(units) == 3 * 2 * 9 * 8
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+    def test_irreducible_factors(self, p, e):
+        for m in all_monic(make_field(p, e), 4):
+            factors = _irreducible_factors(m)
+            assert len(set(factors)) == len(factors), m
+            product = FqPoly(m.field, [1])
+            for pi in factors:
+                assert pi.leading() == 1 and is_irreducible(pi), (m, pi)
+                assert (m % pi).is_zero(), (m, pi)
+                for _ in range(m.degree):
+                    product = product * pi
+            assert (product % m).is_zero(), m
+
+    def test_unit_count_is_eulers_phi(self):
+        # |R*| = prod q^(k (e - 1)) (q^k - 1) over the factors pi^e, deg pi = k
+        for m in seeded_moduli():
+            q = m.field.q
+            factors = _irreducible_factors(m)
+            phi = 1
+            for pi in factors:
+                k, e = pi.degree, multiplicity(pi, m)
+                phi *= q ** (k * (e - 1)) * (q ** k - 1)
+            units = _ring_units.__wrapped__(m)
+            assert len(units) == len(set(units)) == phi, m
+            assert not any((u % pi).is_zero() for u in units for pi in factors), m
