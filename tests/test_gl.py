@@ -174,10 +174,6 @@ def seeded_moduli(count=120, seed=13):
     return out
 
 
-# the largest rings allowed: F_2 with d = 10, F_4 with d = 5, F_32 with d = 2
-LARGEST_RINGS = [(2, 1, 10), (2, 2, 5), (2, 5, 2)]
-
-
 def random_permutation(n, rng):
     images = list(range(n))
     rng.shuffle(images)
@@ -814,7 +810,8 @@ class TestRingUnits:
         for m in seeded_moduli():
             assert _ring_units.__wrapped__(m) == reference_ring_units(m), m
 
-    @pytest.mark.parametrize("p,e,d", LARGEST_RINGS)
+    # the largest rings allowed: F_2 with d = 10, F_4 with d = 5, F_32 with d = 2
+    @pytest.mark.parametrize("p,e,d", [(2, 1, 10), (2, 2, 5), (2, 5, 2)])
     def test_matches_gcd_enumeration_on_the_largest_rings(self, p, e, d):
         field = make_field(p, e)
         assert field.q ** d <= _WREATH_RING_LIMIT
