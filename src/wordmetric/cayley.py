@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -357,11 +358,8 @@ def smith_solve(
     divisors = tuple(d[i][i] for i in range(min(len(d), len(v))))
 
     def combine(exponents, values):
-        acc = one
-        for e, a in zip(exponents, values):
-            if e and a != one:
-                acc = mul(acc, pw(a, e))
-        return acc
+        factors = [pw(a, e) for e, a in zip(exponents, values) if e and a != one]
+        return reduce(mul, factors) if factors else one
 
     eta = []
     for i, row in enumerate(u):

@@ -61,16 +61,17 @@ def factorize(n: int) -> dict:
 
 
 def _is_irreducible(poly: FqPoly) -> bool:
-    """Rabin's test over the prime field: poly of degree e divides
-    X^{p^e} - X and is coprime to X^{p^{e/r}} - X for each prime r | e."""
+    """Rabin's test over the field F_q of poly's coefficients: poly of degree
+    e divides X^{q^e} - X and is coprime to X^{q^{e/r}} - X for each prime
+    r | e."""
     F = poly.field
     e = poly.degree
     if e <= 0:
         return False
-    if not FqPoly.x_pow_minus_x(F, F.p ** e, poly).is_zero():
+    if not FqPoly.x_pow_minus_x(F, F.q ** e, poly).is_zero():
         return False
     return all(
-        FqPoly.x_pow_minus_x(F, F.p ** (e // r), poly).gcd(poly).degree == 0
+        FqPoly.x_pow_minus_x(F, F.q ** (e // r), poly).gcd(poly).degree == 0
         for r in factorize(e)
     )
 
@@ -442,16 +443,7 @@ def embedding(small_key: Tuple[int, int], big_key: Tuple[int, int]):
         candidates.add(r)
         r = big.pow(r, big.p)
     root = min(c for c in candidates if modulus_big.evaluate(c) == 0)
-    table = [0] * small.q
-    for a in range(small.q):
-        acc = 0
-        root_power = 1
-        for c in small.coeffs(a):
-            if c:
-                acc = big.add(acc, big.mul(c % big.p, root_power))
-            root_power = big.mul(root_power, root)
-        table[a] = acc
-    return table
+    return [FqPoly(big, small.coeffs(a)).evaluate(root) for a in range(small.q)]
 
 
 def embed(small: Field, big: Field):

@@ -148,9 +148,9 @@ class MatrixFq:
         return MatrixFq(F, out)
 
     def __pow__(self, e: int) -> "MatrixFq":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return power(self, e, MatrixFq.identity(self.field, self.n))
+        if e == 0:
+            return MatrixFq.identity(self.field, self.n)
+        return power(self if e > 0 else self.inverse(), abs(e), one=None)
 
     def rank(self) -> int:
         return len(_rref(self.field, self.rows)[1])

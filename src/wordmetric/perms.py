@@ -68,9 +68,9 @@ class Permutation:
         return Permutation(inv)
 
     def __pow__(self, n: int) -> "Permutation":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, Permutation.identity(self.degree))
+        if n == 0:
+            return Permutation.identity(self.degree)
+        return power(self if n > 0 else self.inverse(), abs(n), one=None)
 
     def cycles(self) -> List[List[int]]:
         """Cycle decomposition, fixed points included, cycles sorted by min."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Tuple
 
 from .ffield import (
@@ -61,9 +61,9 @@ class SL2Elem:
         return SL2Elem(F, self.d, F.neg(self.b), F.neg(self.c), self.a)
 
     def __pow__(self, n: int) -> "SL2Elem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, SL2Elem.identity(self.field))
+        if n == 0:
+            return SL2Elem.identity(self.field)
+        return power(self if n > 0 else self.inverse(), abs(n), one=None)
 
     def trace(self) -> int:
         return self.field.add(self.a, self.d)
@@ -78,7 +78,7 @@ class SL2Elem:
         F = self.field
         # the order divides q-1, q+1 or 2p (unipotent-type)
         for bound in (F.q - 1, F.q + 1, 2 * F.p):
-            if bound > 0 and (self ** bound) == SL2Elem.identity(F):
+            if (self ** bound) == SL2Elem.identity(F):
                 order = bound
                 for r in factorize(bound):
                     while order % r == 0 and (self ** (order // r)) == SL2Elem.identity(F):
@@ -203,14 +203,14 @@ def unipotent_trace_poly(w: Word, field: Field) -> FqPoly:
     def const(c: int) -> FqPoly:
         return FqPoly(field, [c % field.p])
 
-    value = (one, zero, zero, one)
-    for a, b in form.syllables:
-        # powers of the elementary unipotents are scalar multiples in the
-        # off-diagonal entry: g^a = [[1,0],[aU,1]], h^b = [[1,b],[0,1]]
-        ga = (one, zero, u * const(a), one)
-        hb = (one, const(b), zero, one)
-        value = mat_mul(value, ga)
-        value = mat_mul(value, hb)
+    # powers of the elementary unipotents are scalar multiples in the
+    # off-diagonal entry: g^a = [[1,0],[aU,1]], h^b = [[1,b],[0,1]]
+    factors = [
+        m
+        for a, b in form.syllables
+        for m in ((one, zero, u * const(a), one), (one, const(b), zero, one))
+    ]
+    value = reduce(mat_mul, factors)
     r = value[0] + value[3]
     lead = 1
     for a, b in form.syllables:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Tuple
 
 Letter = Tuple[str, int]
@@ -264,29 +265,35 @@ def parse_word(text: str) -> Word:
 
 
 def power(x, n: int, one, mul=operator.mul):
-    """x^n for n >= 0 by square-and-multiply; ``one`` is the identity.
+    """x^n for n >= 0 by square-and-multiply; ``one`` is the empty product,
+    returned for n = 0 and never multiplied.
 
-    The base is not squared after the last bit of n.
+    The result starts at the power of x for the lowest set bit of n, and the
+    base is not squared after the last bit.
     """
-    result = one
+    if n == 0:
+        return one
+    while not n & 1:
+        x = mul(x, x)
+        n >>= 1
+    result = x
+    n >>= 1
     while n:
+        x = mul(x, x)
         if n & 1:
             result = mul(result, x)
         n >>= 1
-        if n:
-            x = mul(x, x)
     return result
 
 
 def evaluate(w: Word, g, h, one):
-    """w(g, h): the letters of w multiplied left to right, starting at one.
+    """w(g, h): the syllable powers of w multiplied left to right; ``one`` is
+    the value of the empty word and is never multiplied.
 
     g and h need ``*`` and ``**`` with integer (also negative) exponents.
     """
-    value = one
-    for gen, exp in w.letters:
-        value = value * ((g if gen == "x" else h) ** exp)
-    return value
+    factors = ((g if gen == "x" else h) ** exp for gen, exp in w.letters)
+    return reduce(operator.mul, factors) if w.letters else one
 
 
 # -- lower central series degree via the Magnus expansion --------------------

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wordmetric.cayley import FiniteQuotient
 from wordmetric.ffield import FqPoly, make_field
 from wordmetric.glapprox import (
     MatrixFq,
@@ -14,7 +15,7 @@ from wordmetric.glapprox import (
 )
 from wordmetric.perms import Permutation, evaluate_word
 from wordmetric.sl2 import SL2Elem, evaluate_word_sl2
-from wordmetric.words import evaluate, parse_word, power
+from wordmetric.words import Word, evaluate, parse_word, power
 
 EXPONENTS = range(21)
 
@@ -70,8 +71,9 @@ class TestPower:
             assert x ** -n == repeated(x.inverse(), n, one)
 
     def test_multiplication_count(self):
-        # one product per set bit plus one squaring per bit after the first;
-        # the base is never squared after the last bit
+        # one squaring per bit after the first and one product per set bit
+        # after the lowest, which starts the result; the base is never squared
+        # after the last bit, and the identity is returned only for n = 0
         calls = []
 
         def mul(a, b):
@@ -81,7 +83,7 @@ class TestPower:
         for n in range(1, 200):
             calls.clear()
             assert power(1, n, 0, mul) == n
-            assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+            assert len(calls) == bin(n).count("1") + n.bit_length() - 2
         calls.clear()
         assert power(5, 0, 0, mul) == 0 and not calls
 
@@ -130,6 +132,46 @@ class TestEvaluate:
                 expected = expected * (base if step == 1 else base.inverse())
             assert evaluator(w, g, h) == expected
             assert evaluate(w, g, h, one) == expected
+
+    @pytest.mark.parametrize("text,products", [("[x,y]", 3), ("[x^2,y^3]", 9)])
+    def test_products_start_from_the_first_syllable(self, monkeypatch, text, products):
+        # [x^a,y^b] = x^-a y^-b x^a y^b: square-and-multiply for each syllable
+        # power, three products to join them, and one inverse for each of g, h
+        w = parse_word(text)
+        rng = random.Random(17)
+        F = make_field(5, 1)
+        cases = [
+            (Permutation, evaluate_word, lambda: random_permutation(7, rng)),
+            (SL2Elem, evaluate_word_sl2, lambda: random_sl2(F, rng)),
+            (MatrixFq, evaluate_word_matrix, lambda: random_invertible(F, 3, rng)),
+        ]
+        counts = {}
+
+        def counted(name, method):
+            def wrapper(*args):
+                counts[name] += 1
+                return method(*args)
+            return wrapper
+
+        for cls, evaluator, sample in cases:
+            g, h = sample(), sample()
+            counts.update({"__mul__": 0, "inverse": 0, "identity": 0})
+            with monkeypatch.context() as m:
+                m.setattr(cls, "__mul__", counted("__mul__", cls.__mul__))
+                m.setattr(cls, "inverse", counted("inverse", cls.inverse))
+                m.setattr(cls, "identity", staticmethod(counted("identity", cls.identity)))
+                evaluator(w, g, h)
+                assert counts == {"__mul__": products, "inverse": 2, "identity": 1}, cls
+                for n in (1, 2, 5, -1, -6):
+                    counts["identity"] = 0
+                    g ** n
+                    assert counts["identity"] == 0, (cls, n)
+                # the empty word is the empty product, as is the empty
+                # prefix of a Fox derivative in a finite quotient
+                assert evaluator(Word(()), g, h) == g ** 0
+        one = Permutation.identity(5)
+        assert evaluate(Word(()), one, one, one) is one
+        assert FiniteQuotient.cyclic(5).element(Word(())) == one
 
 
 def random_rows(field, m, n, rng):

@@ -1,5 +1,6 @@
 """Finite fields, polynomials over them, embeddings, root finding."""
 
+import itertools
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import wordmetric
 from wordmetric.ffield import (
     Field,
     FqPoly,
+    _is_irreducible,
     _least_irreducible,
     element_of_order,
     embed,
@@ -22,6 +24,7 @@ from wordmetric.ffield import (
     make_field,
     min_extension_root,
 )
+from wordmetric.glapprox import _irreducible_factors
 
 FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 4), (5, 3)]
 
@@ -302,6 +305,20 @@ def test_least_irreducible_matches_trial_division(p, e):
         )
     )
     assert _least_irreducible(p, e) == expected
+
+
+def test_is_irreducible_over_extension_fields():
+    # over F_4 = F_2(w), X + w is irreducible and X^2 + X + 1 = (X + w)(X + w^2)
+    # is not; Rabin's test must raise X to powers of q, not of p
+    F4 = make_field(2, 2)
+    assert _is_irreducible(FqPoly(F4, [2, 1]))
+    assert not _is_irreducible(FqPoly(F4, [1, 1, 1]))
+    for p, e in [(2, 1), (3, 1), (2, 2), (3, 2)]:
+        F = make_field(p, e)
+        for d in range(4):
+            for digits in itertools.product(range(F.q), repeat=d):
+                f = FqPoly(F, list(digits) + [1])
+                assert _is_irreducible(f) == (_irreducible_factors(f) == [f]), f
 
 
 def _reference_product(F, a, b):

@@ -12,7 +12,7 @@ import pytest
 
 import wordmetric
 from wordmetric import glapprox
-from wordmetric.ffield import FqPoly, _is_irreducible, factorize, make_field
+from wordmetric.ffield import FqPoly, _is_irreducible, make_field
 from wordmetric.glapprox import (
     GLWitness,
     MatrixFq,
@@ -123,22 +123,6 @@ def all_monic(field, max_degree, nonzero_constant=False):
         for digits in itertools.product(range(field.q), repeat=d):
             if not (nonzero_constant and digits[0] == 0):
                 yield FqPoly(field, list(digits) + [1])
-
-
-def is_irreducible(poly):
-    """ffield._is_irreducible over a prime field. That test raises X to
-    powers of p, so over F_q with q = p^e > p it is Rabin's test again
-    with q: poly of degree k divides X^(q^k) - X and is coprime to
-    X^(q^(k/r)) - X for each prime r | k."""
-    field, k = poly.field, poly.degree
-    if field.e == 1:
-        return _is_irreducible(poly)
-    if k <= 0 or not FqPoly.x_pow_minus_x(field, field.q ** k, poly).is_zero():
-        return False
-    return all(
-        FqPoly.x_pow_minus_x(field, field.q ** (k // r), poly).gcd(poly).degree == 0
-        for r in factorize(k)
-    )
 
 
 def multiplicity(pi, m):
@@ -845,7 +829,7 @@ class TestRingUnits:
             assert len(set(factors)) == len(factors), m
             product = FqPoly(m.field, [1])
             for pi in factors:
-                assert pi.leading() == 1 and is_irreducible(pi), (m, pi)
+                assert pi.leading() == 1 and _is_irreducible(pi), (m, pi)
                 assert (m % pi).is_zero(), (m, pi)
                 for _ in range(m.degree):
                     product = product * pi

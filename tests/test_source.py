@@ -55,6 +55,32 @@ def test_private_helpers_are_referenced():
     assert not unused, f"private helpers named only where defined: {unused}"
 
 
+def test_runtime_dependencies_are_stdlib_and_numpy():
+    # numpy is the only runtime dependency; relative imports stay in the package
+    src = os.path.dirname(wordmetric.__file__)
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(src, name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno} {module}"
+                for module in modules
+                if module.partition(".")[0] not in allowed
+            ]
+    assert not found, f"imports outside the standard library and numpy: {found}"
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer patches the package's functions by name; a
     # rename must fail here, not only in the benchmark
