@@ -4,20 +4,19 @@ Three subcommands: `approx-sym` builds one symmetric-group witness,
 `su-cert` emits a special-unitary surjectivity certificate, and
 `density-scan` tabulates achieved distances over an n-grid.  All output
 is machine readable (JSON records, CSV tables), embeds the producing
-configuration, and is byte-identical for a fixed seed.
+configuration, and is byte-identical for a fixed seed.  Each subparser
+names its handler, which returns the output text; `main` writes it.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import random
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,36 +38,6 @@ class CLIParseError(Exception):
     """Invalid user input; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    word: str
-    n: Optional[int] = None
-    ns: Tuple[int, ...] = ()
-    target: Optional[str] = None
-    samples: Optional[str] = None
-    seed: int = 0
-    out: Optional[str] = None
-    format: str = "json"
-
-    def to_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "word": self.word,
-            "seed": self.seed,
-            "format": self.format,
-        }
-        if self.n is not None:
-            out["n"] = self.n
-        if self.ns:
-            out["ns"] = list(self.ns)
-        if self.target is not None:
-            out["target"] = self.target
-        if self.samples is not None:
-            out["samples"] = self.samples
-        return out
-
-
 def _parse_word_arg(text: str) -> Word:
     if not text.strip():
         raise CLIParseError("empty word")
@@ -76,6 +45,18 @@ def _parse_word_arg(text: str) -> Word:
         return parse_word(text)
     except WordSyntaxError as exc:
         raise CLIParseError(f"bad word {text!r}: {exc}") from exc
+
+
+def _parse_ns(text: str) -> List[int]:
+    # argparse passes a CLIParseError from a type function through to `main`
+    parts = [p for p in text.split(",") if p.strip()]
+    try:
+        ns = [int(p) for p in parts]
+    except ValueError:
+        raise CLIParseError(f"bad --ns {text!r}")
+    if any(n < 1 for n in ns):
+        raise CLIParseError("sizes must be positive")
+    return ns
 
 
 def _random_permutation(n: int, rng: random.Random) -> Permutation:
@@ -113,32 +94,33 @@ def _write_output(text: str, out: Optional[str]) -> None:
         raise
 
 
-def _json_record(config: RunConfig, result: dict) -> str:
-    record = {"schema": SCHEMA_VERSION, "config": config.to_dict(), "result": result}
+def _config(args: argparse.Namespace) -> dict:
+    """The run configuration embedded in every output."""
+    return {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("handler", "out") and value not in (None, "", [])
+    }
+
+
+def _json_record(args: argparse.Namespace, result: dict) -> str:
+    record = {"schema": SCHEMA_VERSION, "config": _config(args), "result": result}
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_approx_sym(config: RunConfig) -> int:
-    w = _parse_word_arg(config.word)
-    if config.n is None or config.n < 1:
+def cmd_approx_sym(args: argparse.Namespace) -> str:
+    w = _parse_word_arg(args.word)
+    if args.n < 1:
         raise CLIParseError("n must be a positive integer")
-    target = _target_from_spec(config.target or "random", config.n, config.seed)
-    try:
-        witness = approx(w, target)
-    except (ValueError, AssertionError) as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    _write_output(_json_record(config, witness.to_dict()), config.out)
-    return EXIT_OK
+    target = _target_from_spec(args.target or "random", args.n, args.seed)
+    return _json_record(args, approx(w, target).to_dict())
 
 
-def cmd_su_cert(config: RunConfig) -> int:
-    w = _parse_word_arg(config.word)
-    if config.n is None or config.n < 2:
+def cmd_su_cert(args: argparse.Namespace) -> str:
+    w = _parse_word_arg(args.word)
+    if args.n < 2:
         raise CLIParseError("n must be at least 2")
-    cert = su_certificate(w, config.n)
-    _write_output(_json_record(config, cert.to_dict()), config.out)
-    return EXIT_OK
+    return _json_record(args, su_certificate(w, args.n).to_dict())
 
 
 def _conjugacy_class_size(n: int, cycle_type: Tuple[Tuple[int, int], ...]) -> int:
@@ -163,7 +145,7 @@ def _scan_targets(n: int, samples: str, seed: int) -> List[Tuple[Permutation, in
     return [(_random_permutation(n, rng), 1) for _ in range(count)]
 
 
-def _scan_row(w: Word, n: int, targets: List[Tuple[Permutation, int]]) -> Tuple[int, float, float, float]:
+def _scan_row(w: Word, n: int, targets: List[Tuple[Permutation, int]]) -> str:
     total = Fraction(0)
     weight = 0
     worst = Fraction(0)
@@ -174,35 +156,29 @@ def _scan_row(w: Word, n: int, targets: List[Tuple[Permutation, int]]) -> Tuple[
         weight += multiplicity
         worst = max(worst, witness.achieved_distance)
         bound = max(bound, witness.bound_distance)
-    return n, float(total / weight), float(worst), float(bound)
+    return f"{n},{float(total / weight)!r},{float(worst)!r},{float(bound)!r}"
 
 
-def cmd_density_scan(config: RunConfig) -> int:
-    w = _parse_word_arg(config.word)
-    if not config.ns:
+def cmd_density_scan(args: argparse.Namespace) -> str:
+    w = _parse_word_arg(args.word)
+    if not args.ns:
         raise CLIParseError("empty n-grid")
-    samples = config.samples or "20"
+    samples = args.samples or "20"
     if samples != "all":
         try:
             if int(samples) < 1:
                 raise ValueError
         except ValueError:
             raise CLIParseError(f"bad --samples {samples!r}")
-    grid = sorted(set(config.ns))
-    jobs = [(n, _scan_targets(n, samples, config.seed)) for n in grid]
-    try:
-        rows = [_scan_row(w, n, targets) for n, targets in jobs]
-    except (ValueError, AssertionError) as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    buf = io.StringIO()
-    buf.write(f"# schema={SCHEMA_VERSION}\n")
-    buf.write(f"# config={json.dumps(config.to_dict(), sort_keys=True)}\n")
-    buf.write("n,mean,max,bound\n")
-    for n, mean, worst, bound in sorted(rows):
-        buf.write(f"{n},{mean!r},{worst!r},{bound!r}\n")
-    _write_output(buf.getvalue(), config.out)
-    return EXIT_OK
+    # every target list is drawn, and every size checked, before any witness
+    jobs = [(n, _scan_targets(n, samples, args.seed)) for n in sorted(set(args.ns))]
+    lines = [
+        f"# schema={SCHEMA_VERSION}",
+        f"# config={json.dumps(_config(args), sort_keys=True)}",
+        "n,mean,max,bound",
+    ]
+    lines += [_scan_row(w, n, targets) for n, targets in jobs]
+    return "\n".join(lines) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -210,66 +186,45 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wordmetric",
         description="Witness constructions for metric density of word-map images.",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--word", required=True)
+    shared.add_argument("--out")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_approx = sub.add_parser("approx-sym", help="build one symmetric-group witness")
-    p_approx.add_argument("--word", required=True)
+    p_approx = sub.add_parser("approx-sym", parents=[shared], help="build one symmetric-group witness")
     p_approx.add_argument("--n", type=int, required=True)
     p_approx.add_argument("--target", default="random", help="random | cycle notation | file path")
     p_approx.add_argument("--seed", type=int, default=0)
-    p_approx.add_argument("--out")
+    p_approx.set_defaults(handler=cmd_approx_sym, format="json")
 
-    p_cert = sub.add_parser("su-cert", help="special-unitary surjectivity certificate")
-    p_cert.add_argument("--word", required=True)
+    p_cert = sub.add_parser("su-cert", parents=[shared], help="special-unitary surjectivity certificate")
     p_cert.add_argument("--n", type=int, required=True)
-    p_cert.add_argument("--out")
+    p_cert.set_defaults(handler=cmd_su_cert, format="json", seed=0)
 
-    p_scan = sub.add_parser("density-scan", help="tabulate achieved distances over an n-grid")
-    p_scan.add_argument("--word", required=True)
-    p_scan.add_argument("--ns", required=True, help="comma-separated sizes")
+    p_scan = sub.add_parser("density-scan", parents=[shared], help="tabulate achieved distances over an n-grid")
+    p_scan.add_argument("--ns", type=_parse_ns, required=True, help="comma-separated sizes")
     p_scan.add_argument("--samples", default="20", help="targets per size, or 'all'")
     p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--out")
+    p_scan.set_defaults(handler=cmd_density_scan, format="csv")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    ns: Tuple[int, ...] = ()
-    if getattr(args, "ns", None) is not None:
-        parts = [p for p in args.ns.split(",") if p.strip()]
-        try:
-            ns = tuple(int(p) for p in parts)
-        except ValueError:
-            raise CLIParseError(f"bad --ns {args.ns!r}")
-        if any(n < 1 for n in ns):
-            raise CLIParseError("sizes must be positive")
-    return RunConfig(
-        command=args.command,
-        word=args.word,
-        n=getattr(args, "n", None),
-        ns=ns,
-        target=getattr(args, "target", None),
-        samples=getattr(args, "samples", None),
-        seed=getattr(args, "seed", 0),
-        out=args.out,
-        format="csv" if args.command == "density-scan" else "json",
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    commands = {
-        "approx-sym": cmd_approx_sym,
-        "su-cert": cmd_su_cert,
-        "density-scan": cmd_density_scan,
-    }
     try:
-        config = _config_from_args(args)
-        return commands[args.command](config)
+        args = _build_parser().parse_args(argv)
+        text = args.handler(args)
     except CLIParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (ValueError, AssertionError) as exc:
+        print(f"construction failed: {exc}", file=sys.stderr)
+        return EXIT_CONSTRUCTION
+    try:
+        _write_output(text, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or '<stdout>'!r}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

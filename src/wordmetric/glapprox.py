@@ -193,7 +193,7 @@ class MatrixFq:
 
 
 def evaluate_word_matrix(w: Word, g: MatrixFq, h: MatrixFq) -> MatrixFq:
-    return evaluate(w, g, h, MatrixFq.identity(g.field, g.n))
+    return evaluate(w, g, h)
 
 
 def rank_distance(a: MatrixFq, b: MatrixFq) -> Fraction:
@@ -347,9 +347,7 @@ class PowerBlockCertificate:
 
     @property
     def holds(self) -> bool:
-        return [f.coeffs for f in self.power_factors] == [
-            f.coeffs for f in self.sum_factors
-        ]
+        return self.power_factors == self.sum_factors
 
 
 def power_block_split(chi: FqPoly, c: int) -> PowerBlockCertificate:
@@ -401,7 +399,7 @@ def similarity_transform(a: MatrixFq, b: MatrixFq) -> MatrixFq:
     """
     if a == b:
         return MatrixFq.identity(a.field, a.n)
-    if [f.coeffs for f in a.invariant_factors()] != [f.coeffs for f in b.invariant_factors()]:
+    if a.invariant_factors() != b.invariant_factors():
         raise ValueError("matrices are not similar")
     F = a.field
     n = a.n
@@ -635,16 +633,8 @@ def _wreath_matrices(plan: _WreathPlan) -> Tuple[MatrixFq, MatrixFq]:
     return g, h
 
 
-def _group_invariant_factors(
-    factors: Sequence[FqPoly],
-) -> List[Tuple[FqPoly, int]]:
-    groups: List[Tuple[FqPoly, int]] = []
-    for f in factors:
-        if groups and groups[-1][0].coeffs == f.coeffs:
-            groups[-1] = (groups[-1][0], groups[-1][1] + 1)
-        else:
-            groups.append((f, 1))
-    return groups
+def _group_invariant_factors(factors: Sequence[FqPoly]) -> List[Tuple[FqPoly, int]]:
+    return [(f, len(list(run))) for f, run in itertools.groupby(factors)]
 
 
 def approx_gl(w: Word, a: MatrixFq) -> GLWitness:
@@ -704,7 +694,7 @@ def approx_gl(w: Word, a: MatrixFq) -> GLWitness:
         h_blocks.append(MatrixFq.permutation(field, sym_witness.h))
 
     c_mat = MatrixFq.block_diag(field, blocks)
-    if [f.coeffs for f in c_mat.invariant_factors()] != [f.coeffs for f in factors]:
+    if c_mat.invariant_factors() != factors:
         raise AssertionError("assembled normal form is not similar to the target")
     g = MatrixFq.block_diag(field, g_blocks)
     h = MatrixFq.block_diag(field, h_blocks)

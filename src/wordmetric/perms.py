@@ -124,7 +124,7 @@ def hamming_distance(s: Permutation, t: Permutation) -> Fraction:
 def evaluate_word(w: Word, g: Permutation, h: Permutation) -> Permutation:
     if g.degree != h.degree:
         raise ValueError("mismatched degrees")
-    return evaluate(w, g, h, Permutation.identity(g.degree))
+    return evaluate(w, g, h)
 
 
 def cycle_notation(s: Permutation) -> str:

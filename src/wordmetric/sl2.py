@@ -97,7 +97,7 @@ class SL2Elem:
 
 
 def evaluate_word_sl2(w: Word, g: SL2Elem, h: SL2Elem) -> SL2Elem:
-    return evaluate(w, g, h, SL2Elem.identity(g.field))
+    return evaluate(w, g, h)
 
 
 def _point_index(F: Field, a: int, b: int) -> int:

@@ -286,14 +286,14 @@ def power(x, n: int, one, mul=operator.mul):
     return result
 
 
-def evaluate(w: Word, g, h, one):
-    """w(g, h): the syllable powers of w multiplied left to right; ``one`` is
-    the value of the empty word and is never multiplied.
+def evaluate(w: Word, g, h):
+    """w(g, h): the syllable powers of w multiplied left to right; the empty
+    word gives the identity ``g ** 0``.
 
     g and h need ``*`` and ``**`` with integer (also negative) exponents.
     """
     factors = ((g if gen == "x" else h) ** exp for gen, exp in w.letters)
-    return reduce(operator.mul, factors) if w.letters else one
+    return reduce(operator.mul, factors) if w.letters else g ** 0
 
 
 # -- lower central series degree via the Magnus expansion --------------------

@@ -131,7 +131,7 @@ class TestEvaluate:
                 base = g if gen == "x" else h
                 expected = expected * (base if step == 1 else base.inverse())
             assert evaluator(w, g, h) == expected
-            assert evaluate(w, g, h, one) == expected
+            assert evaluate(w, g, h) == expected
 
     @pytest.mark.parametrize("text,products", [("[x,y]", 3), ("[x^2,y^3]", 9)])
     def test_products_start_from_the_first_syllable(self, monkeypatch, text, products):
@@ -161,7 +161,7 @@ class TestEvaluate:
                 m.setattr(cls, "inverse", counted("inverse", cls.inverse))
                 m.setattr(cls, "identity", staticmethod(counted("identity", cls.identity)))
                 evaluator(w, g, h)
-                assert counts == {"__mul__": products, "inverse": 2, "identity": 1}, cls
+                assert counts == {"__mul__": products, "inverse": 2, "identity": 0}, cls
                 for n in (1, 2, 5, -1, -6):
                     counts["identity"] = 0
                     g ** n
@@ -170,7 +170,7 @@ class TestEvaluate:
                 # prefix of a Fox derivative in a finite quotient
                 assert evaluator(Word(()), g, h) == g ** 0
         one = Permutation.identity(5)
-        assert evaluate(Word(()), one, one, one) is one
+        assert evaluate(Word(()), one, one) == one
         assert FiniteQuotient.cyclic(5).element(Word(())) == one
 
 

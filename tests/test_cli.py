@@ -103,6 +103,12 @@ class TestSuCert:
     def test_n_too_small_exit_2(self):
         assert run(["su-cert", "--word", "[x,y]", "--n", "1"]) == 2
 
+    def test_trivial_word_construction_failure_exit_3(self, capsys):
+        assert run(["su-cert", "--word", "x x^-1", "--n", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("construction failed: ")
+        assert captured.out == ""
+
 
 class TestDensityScan:
     def test_rows_sorted_and_decreasing(self, tmp_path):
@@ -211,6 +217,18 @@ class TestAtomicWrites:
         )
         assert code == 3
         assert not out.exists()
+        assert not [p for p in os.listdir(tmp_path) if p.startswith(".wordmetric")]
+
+    @pytest.mark.parametrize("name", ["missing/w.json", "existing-dir"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, name):
+        (tmp_path / "existing-dir").mkdir()
+        out = tmp_path / name
+        code = run(["approx-sym", "--word", "[x,y]", "--n", "8", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {str(out)!r}: ")
+        assert captured.out == ""
+        assert out.is_dir() == (name == "existing-dir")
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".wordmetric")]
 
     def test_overwrite_is_complete(self, tmp_path):

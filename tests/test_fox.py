@@ -19,6 +19,8 @@ from wordmetric.fox import (
     GroupRingElem,
     LaurentPoly1,
     LaurentPoly2,
+    _choose_direction,
+    _specialize,
     abelianized_derivatives,
     count_Wn,
     derived_membership,
@@ -168,6 +170,15 @@ class TestSpecialization:
             found += 1
             spec = specialize_details(w)
             assert not spec.p.is_zero()
+
+    def test_spiral_direction_when_both_axes_vanish(self):
+        # z = (X - 1)(Y - 1) collapses to 0 along both axes
+        z = LaurentPoly2({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+        assert _specialize(z, (1, 0)).is_zero() and _specialize(z, (0, 1)).is_zero()
+        (alpha, beta), p = _choose_direction(z)
+        assert (alpha, beta) == (-2, -1)
+        assert len({alpha * i + beta * j for i, j in z.support()}) == len(z.support())
+        assert not p.is_zero()
 
     def test_rejects_wrong_membership(self):
         with pytest.raises(ValueError):

@@ -175,6 +175,18 @@ class TestIsotypic:
                 evaluate_word_sl2(w, iso.g, iso.h)
             )
 
+    @pytest.mark.parametrize(
+        "word,k,p,q,cycles", [("[x,y]", 2, 5, 625, 312), ("[x^2,y^3]", 3, 7, 49, 16)]
+    )
+    def test_higher_level_embeds_the_solution(self, word, k, p, q, cycles):
+        # level i = 2 embeds g, h in the quadratic extension of their field
+        w = parse_word(word)
+        iso = isotypic_word_value(w, k, make_field(p, 1), i=2)
+        assert iso.field.q == q
+        assert iso.g.field is iso.field and iso.h.field is iso.field
+        assert iso.sigma.cycle_type() == ((1, 2), (k, cycles))
+        assert iso.sigma == projective_permutation(evaluate_word_sl2(w, iso.g, iso.h))
+
     def test_two_fixed_points_rest_k_cycles(self):
         w = parse_word("x^-1 y^-1 x y^2")
         iso = isotypic_word_value(w, 3, make_field(7, 1))
