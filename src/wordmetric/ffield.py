@@ -13,6 +13,8 @@ import random
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .words import power
 
 # -- integer helpers ---------------------------------------------------------
@@ -117,7 +119,11 @@ class Field:
         self.modulus = _least_irreducible(p, e)
         self._exp: Optional[List[int]] = None
         self._log: Optional[List[int]] = None
+        self._exp_array: Optional[np.ndarray] = None
+        self._log_array: Optional[np.ndarray] = None
         self._unit_factorization: Optional[dict] = None
+        # the longest side n of an int64 array: n * (p-1)^2 < 2^63, q <= 2^63
+        self._int64_sides = (2**63 - 1) // (p - 1) ** 2 if self.q <= 2**63 else -1
 
     def __repr__(self):
         return f"F_{self.q}" if self.e == 1 else f"F_{self.q} (= F_{self.p}^{self.e})"
@@ -208,6 +214,86 @@ class Field:
         if a == 0:
             return 0 if n > 0 else 1
         return power(a, n % (self.q - 1), 1, self.mul)
+
+    # arithmetic on arrays of encoded elements, entrywise with broadcasting;
+    # the same results as the scalar operations above
+
+    def dtype(self, n: int):
+        """int64 while a sum of n products of entries below p fits in it,
+        n * (p-1)^2 < 2^63 (and every element does, q <= 2^63); else object
+        arrays of Python ints, on which the same expressions run exactly."""
+        return np.int64 if n <= self._int64_sides else object
+
+    def array(self, values) -> np.ndarray:
+        """A new array of the encoded elements in values (a vector, or equal
+        rows), in the dtype for its longest side."""
+        values = np.asarray(values)
+        if values.size and values.dtype.kind not in "biuO":
+            raise ValueError(f"elements of {self!r} are encoded as integers")
+        return values.astype(self.dtype(max(values.shape, default=0)))
+
+    def _digits(self, a) -> List[np.ndarray]:
+        """The base-p coefficient arrays c_0, ..., c_{e-1} of a."""
+        return [a // self.p**i % self.p for i in range(self.e)]
+
+    def _encode_digits(self, digits) -> np.ndarray:
+        acc = digits[-1]
+        for c in reversed(digits[:-1]):
+            acc = acc * self.p + c
+        return acc
+
+    def add_arrays(self, a, b) -> np.ndarray:
+        if self.e == 1:
+            return (a + b) % self.p
+        return self._encode_digits(
+            [(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))]
+        )
+
+    def sub_arrays(self, a, b) -> np.ndarray:
+        if self.e == 1:
+            return (a - b) % self.p
+        return self._encode_digits(
+            [(x - y) % self.p for x, y in zip(self._digits(a), self._digits(b))]
+        )
+
+    def sub_product(self, a, b, c) -> np.ndarray:
+        """a - b*c, with one reduction for a prime field."""
+        if self.e == 1:
+            return (a - b * c) % self.p
+        return self.sub_arrays(a, self.mul_arrays(b, c))
+
+    def mul_arrays(self, a, b) -> np.ndarray:
+        if self.e == 1:
+            return a * b % self.p
+        if self._log is None:
+            return self._schoolbook(a, b, np.multiply)
+        if self._log_array is None:  # built on first use: S_n never needs them
+            self._exp_array, self._log_array = np.array(self._exp), np.array(self._log)
+        product = self._exp_array[self._log_array[a] + self._log_array[b]]
+        return np.where((a == 0) | (b == 0), 0, product)
+
+    def matmul(self, a, b) -> np.ndarray:
+        """The matrix (or vector-matrix) product a @ b over the field."""
+        if self.e == 1:
+            return a @ b % self.p
+        return self._schoolbook(a, b, np.matmul)
+
+    def _schoolbook(self, a, b, product) -> np.ndarray:
+        """_mul_slow on the coefficient arrays: the products of the
+        coefficients of a and b under `product` (entrywise or matrix), each
+        reduced mod p at once so that the dtype bound holds, then reduced
+        top down by the monic modulus."""
+        p, e, m = self.p, self.e, self.modulus
+        x, y = self._digits(a), self._digits(b)
+        prod = [0] * (2 * e - 1)
+        for i in range(e):
+            for j in range(e):
+                prod[i + j] = prod[i + j] + product(x[i], y[j]) % p
+        for k in range(2 * e - 2, e - 1, -1):
+            c = prod[k] % p
+            for i in range(e):
+                prod[k - e + i] = prod[k - e + i] - c * m[i]
+        return self._encode_digits([coef % p for coef in prod[:e]])
 
     # tables, orders, generators
 

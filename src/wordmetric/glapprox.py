@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .cayley import FiniteQuotient, build_d2, smith_solve
 from .ffield import Field, FqPoly, make_field
 from .perms import Permutation
@@ -25,80 +27,134 @@ from .symmetric import Witness, approx
 from .words import Word, classify, evaluate, power
 
 
-def _rref(field: Field, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form over the field, with its pivot columns."""
+def _gauss_jordan(field: Field, mat: np.ndarray, stop_at_gap: bool = False) -> List[int]:
+    """Bring the writeable 2-D array mat over the field to its reduced row
+    echelon form in place, and return its pivot columns. With stop_at_gap
+    the elimination ends at the first column without a pivot, which is all
+    an invertibility test needs."""
     F = field
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    ncols = len(mat[0]) if m else 0
+    m, ncols = mat.shape
     pivots: List[int] = []
     for col in range(ncols):
         rank = len(pivots)
         if rank == m:
             break
-        pivot = next((i for i in range(rank, m) if mat[i][col]), None)
-        if pivot is None:
+        nonzero = mat[rank:, col].nonzero()[0]
+        if not len(nonzero):
+            if stop_at_gap:
+                break
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pivot = rank + int(nonzero[0])
+        if pivot != rank:
+            pivot_row = mat[pivot].copy()
+            mat[pivot] = mat[rank]
+            mat[rank] = pivot_row
         # the pivot row is zero left of col, so only the columns from col on
-        # change, and only where the pivot row is nonzero
-        inv = F.inv(mat[rank][col])
-        row = [F.mul(inv, e) if e else 0 for e in mat[rank][col:]]
-        mat[rank][col:] = row
-        for i in range(m):
-            f = mat[i][col]
-            if i != rank and f:
-                tail = zip(mat[i][col:], row)
-                mat[i][col:] = [F.sub(x, F.mul(f, y)) if y else x for x, y in tail]
+        # change, and only in the rows that are nonzero at col
+        row = mat[rank, col:]
+        inv = F.inv(int(row[0]))
+        if inv != 1:
+            row[:] = F.mul_arrays(inv, row)
+        factors = mat[:, col].copy()
+        factors[rank] = 0
+        others = factors.nonzero()[0]
+        if len(others):
+            mat[others, col:] = F.sub_product(mat[others, col:], factors[others, None], row)
         pivots.append(col)
-    return mat, pivots
+    return pivots
+
+
+def _rref(field: Field, rows) -> Tuple[List[List[int]], List[int]]:
+    """Reduced row echelon form over the field of any 2-D sequence of
+    encoded elements, as rows of Python ints, with its pivot columns; the
+    elimination is _gauss_jordan on a copy."""
+    if not len(rows):
+        return [], []
+    mat = field.array(rows)
+    pivots = _gauss_jordan(field, mat)
+    return mat.tolist(), pivots
 
 
 class MatrixFq:
-    """Square or rectangular matrix over a Field; rows of encoded elements."""
+    """Matrix over a Field, held as one read-only 2-D array of encoded
+    elements in [0, q), in the dtype of Field.dtype for its longest side:
+    int64 while n * (p-1)^2 < 2^63, else Python ints in an object array.
 
-    __slots__ = ("field", "rows", "_inverse", "_decomposition")
+    The array never changes, so the cached inverse and cyclic decomposition
+    stay valid; `rows` gives the entries as tuples of Python ints.
+    """
 
-    def __init__(self, field: Field, rows: Sequence[Sequence[int]]):
+    __slots__ = ("field", "array", "_rows", "_inverse", "_decomposition")
+
+    def __init__(self, field: Field, rows):
+        """rows: equal-length rows of encoded elements, or a 2-D array."""
+        if not isinstance(rows, np.ndarray):
+            rows = [tuple(r) for r in rows]
+            if any(len(r) != len(rows[0]) for r in rows):
+                raise ValueError("ragged rows")
+            if not rows:
+                rows = np.zeros((0, 0), dtype=np.int64)
+        domain = f"matrix entries must lie in [0, {field.q})"
+        try:
+            array = field.array(rows)
+        except OverflowError:
+            raise ValueError(domain) from None
+        if array.ndim != 2:
+            raise ValueError("a matrix needs equal rows of field elements")
+        if array.size and (array.min() < 0 or array.max() >= field.q):
+            raise ValueError(domain)
+        self._set(field, array)
+
+    def _set(self, field: Field, array: np.ndarray) -> None:
+        array.flags.writeable = False
         self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        if any(len(r) != len(self.rows[0]) for r in self.rows):
-            raise ValueError("ragged rows")
+        self.array = array
+        self._rows = None
         self._inverse = None
         self._decomposition = None
 
+    @classmethod
+    def _wrap(cls, field: Field, array: np.ndarray) -> "MatrixFq":
+        """The matrix of an array already reduced over the field (no copy)."""
+        m = cls.__new__(cls)
+        m._set(field, array)
+        return m
+
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(map(tuple, self.array.tolist()))
+        return self._rows
+
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.array.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return self.array.shape[1]
 
     @staticmethod
     def identity(field: Field, n: int) -> "MatrixFq":
-        return MatrixFq(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return MatrixFq._wrap(field, np.eye(n, dtype=field.dtype(n)))
 
     @staticmethod
     def permutation(field: Field, perm: Permutation) -> "MatrixFq":
         """0/1 matrix with row v supported at perm(v) (right action)."""
         n = perm.degree
-        rows = [[0] * n for _ in range(n)]
-        for v in range(n):
-            rows[v][perm(v)] = 1
-        return MatrixFq(field, rows)
+        array = np.zeros((n, n), dtype=field.dtype(n))
+        array[np.arange(n), perm.images] = 1
+        return MatrixFq._wrap(field, array)
 
     @staticmethod
     def block_diag(field: Field, blocks: Sequence["MatrixFq"]) -> "MatrixFq":
         n = sum(b.n for b in blocks)
-        rows = [[0] * n for _ in range(n)]
+        array = np.zeros((n, n), dtype=field.dtype(n))
         off = 0
         for b in blocks:
-            for i in range(b.n):
-                for j in range(b.n):
-                    rows[off + i][off + j] = b.rows[i][j]
+            array[off:off + b.n, off:off + b.n] = b.array
             off += b.n
-        return MatrixFq(field, rows)
+        return MatrixFq._wrap(field, array)
 
     def __eq__(self, other) -> bool:
         return (
@@ -110,42 +166,22 @@ class MatrixFq:
     def __hash__(self):
         return hash((id(self.field), self.rows))
 
+    def _check_shape(self, other: "MatrixFq") -> None:
+        if self.array.shape != other.array.shape:
+            raise ValueError("shape mismatch")
+
     def __add__(self, other: "MatrixFq") -> "MatrixFq":
-        F = self.field
-        return MatrixFq(
-            F,
-            [
-                [F.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        self._check_shape(other)
+        return MatrixFq._wrap(self.field, self.field.add_arrays(self.array, other.array))
 
     def __sub__(self, other: "MatrixFq") -> "MatrixFq":
-        F = self.field
-        return MatrixFq(
-            F,
-            [
-                [F.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        self._check_shape(other)
+        return MatrixFq._wrap(self.field, self.field.sub_arrays(self.array, other.array))
 
     def __mul__(self, other: "MatrixFq") -> "MatrixFq":
-        F = self.field
         if self.ncols != other.n:
             raise ValueError("shape mismatch")
-        bt = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new = []
-            for col in bt:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = F.add(acc, F.mul(a, b))
-                new.append(acc)
-            out.append(new)
-        return MatrixFq(F, out)
+        return MatrixFq._wrap(self.field, self.field.matmul(self.array, other.array))
 
     def __pow__(self, e: int) -> "MatrixFq":
         if e == 0:
@@ -153,23 +189,27 @@ class MatrixFq:
         return power(self if e > 0 else self.inverse(), abs(e), one=None)
 
     def rank(self) -> int:
-        return len(_rref(self.field, self.rows)[1])
+        return len(_gauss_jordan(self.field, self.array.copy()))
 
     def inverse(self) -> "MatrixFq":
-        if self._inverse is None:
-            n = self.n
-            augmented = [
-                list(r) + [1 if i == j else 0 for j in range(n)]
-                for i, r in enumerate(self.rows)
-            ]
-            mat, pivots = _rref(self.field, augmented)
-            if pivots[:n] != list(range(n)):
-                raise ValueError("matrix is singular")
-            self._inverse = MatrixFq(self.field, [row[n:] for row in mat])
-        return self._inverse
+        inverse = self._invert()
+        if inverse is None:
+            raise ValueError("matrix is singular")
+        return inverse
 
     def is_invertible(self) -> bool:
-        return self.n == self.ncols and self.rank() == self.n
+        return self._invert() is not None
+
+    def _invert(self) -> Optional["MatrixFq"]:
+        """The inverse of A, kept once found, or None if A is not square or
+        singular: one elimination of (A | I), which stops at the first column
+        of A without a pivot."""
+        if self._inverse is None and self.n == self.ncols:
+            F, n = self.field, self.n
+            augmented = np.concatenate([self.array, np.eye(n, dtype=self.array.dtype)], axis=1)
+            if len(_gauss_jordan(F, augmented, stop_at_gap=True)) == n:
+                self._inverse = MatrixFq._wrap(F, augmented[:, n:].copy())
+        return self._inverse
 
     def cyclic_decomposition(self) -> Tuple[Tuple[Tuple[int, ...], FqPoly], ...]:
         """Generators w_i of A with their minimal polynomials f_i, the largest first.
@@ -236,21 +276,22 @@ def load_matrix(text: str) -> MatrixFq:
 # -- invariant factors from Krylov spaces ------------------------------------
 
 
-def _krylov(a: MatrixFq, v: Sequence[int], m: int) -> List[Sequence[int]]:
+def _krylov(a: MatrixFq, v, m: int) -> np.ndarray:
     """The rows v, vA, ..., vA^(m-1)."""
-    rows = [v]
-    for _ in range(m - 1):
-        rows.append((MatrixFq(a.field, [rows[-1]]) * a).rows[0])
-    return rows
-
-
-def _apply(f: FqPoly, v: Sequence[int], a: MatrixFq) -> List[int]:
-    """The row vector v*f(A), the sum of f_i * vA^i."""
     F = a.field
-    acc = [0] * a.n
-    for c, row in zip(f.coeffs, _krylov(a, v, len(f.coeffs))):
-        acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, row)]
-    return acc
+    rows = [F.array(v)]
+    for _ in range(m - 1):
+        rows.append(F.matmul(rows[-1], a.array))
+    return np.array(rows)
+
+
+def _apply(f: FqPoly, v, a: MatrixFq) -> np.ndarray:
+    """v*f(A), the sum of f_i * vA^i, for a row vector v or for each row of
+    a matrix v."""
+    F = a.field
+    m = len(f.coeffs)
+    krylov = _krylov(a, v, m)
+    return F.matmul(F.array(f.coeffs), krylov.reshape(m, -1)).reshape(krylov.shape[1:])
 
 
 def _invariant_factors(a: MatrixFq) -> Tuple[Tuple[Tuple[int, ...], FqPoly], ...]:
@@ -265,15 +306,15 @@ def _invariant_factors(a: MatrixFq) -> Tuple[Tuple[Tuple[int, ...], FqPoly], ...
     F, n = a.field, a.n
     if n == 0:
         return ()
-    unit = MatrixFq.identity(F, n).rows
-    v, f = [0] * n, FqPoly(F, [1])
-    for e in unit:
-        if not any(_apply(f, e, a)):  # the minimal polynomial of e divides f
+    unit = MatrixFq.identity(F, n).array
+    v, f, f_of_a = np.zeros_like(unit[0]), FqPoly(F, [1]), unit
+    for j, e in enumerate(unit):
+        if not f_of_a[j].any():  # the minimal polynomial of e divides f
             continue
         # the minimal polynomial g of e: the first r Krylov rows are
         # independent, and column r of the reduced transpose writes eA^r
         # in terms of them
-        mat, pivots = _rref(F, list(zip(*_krylov(a, e, n + 1))))
+        mat, pivots = _rref(F, _krylov(a, e, n + 1).T)
         r = len(pivots)
         g = FqPoly(F, [F.neg(row[r]) for row in mat[:r]] + [1])
         # lcm(f, g) = f1 * g1 with f1 | f and g1 | g coprime; v*(f/f1)(A) has
@@ -283,28 +324,29 @@ def _invariant_factors(a: MatrixFq) -> Tuple[Tuple[Tuple[int, ...], FqPoly], ...
         while d.degree > 0:
             f1, g1 = f1 // d, g1 * d
             d = f1.gcd(g1)
-        v = [F.add(x, y) for x, y in zip(_apply(f // f1, v, a), _apply(g // g1, e, a))]
+        v = F.add_arrays(_apply(f // f1, v, a), _apply(g // g1, e, a))
         f = f1 * g1
         if f.degree == n:
-            return ((tuple(v), f),)
+            return ((tuple(v.tolist()), f),)
+        f_of_a = _apply(f, unit, a)
     # in the basis P of the Krylov rows of v and the unit rows off their
     # pivots, A is block triangular and its lower right block is the quotient
     r = f.degree
     krylov = _krylov(a, v, r)
     pivots = _rref(F, krylov)[1]
-    p = MatrixFq(F, krylov + [unit[j] for j in range(n) if j not in pivots])
+    p = MatrixFq._wrap(F, np.concatenate([krylov, np.delete(unit, pivots, axis=0)]))
     m = p * a * p.inverse()
     lifted = []
-    for w, g in _invariant_factors(MatrixFq(F, [row[r:] for row in m.rows[r:]])):
+    for w, g in _invariant_factors(MatrixFq._wrap(F, m.array[r:, r:])):
         # (0, w)*g(M) = (rho, 0) is v*rho(A); it is killed by (f/g)(A), so g
         # divides rho, and (-rho/g, w) is a lift that g(M) kills
-        rho = _apply(g, [0] * r + list(w), m)
-        sigma, rem = FqPoly(F, rho[:r]).divmod(g)
-        if any(rho[r:]) or not rem.is_zero():
+        rho = _apply(g, np.concatenate([np.zeros_like(unit[0, :r]), w]), m)
+        sigma, rem = FqPoly(F, rho[:r].tolist()).divmod(g)
+        if rho[r:].any() or not rem.is_zero():
             raise AssertionError("a quotient generator does not lift to a complement")
         sigma = [F.neg(c) for c in sigma.coeffs] + [0] * (r - len(sigma.coeffs))
-        lifted.append(((MatrixFq(F, [sigma + list(w)]) * p).rows[0], g))
-    return ((tuple(v), f),) + tuple(lifted)
+        lifted.append((tuple(F.matmul(F.array(sigma + list(w)), p.array).tolist()), g))
+    return ((tuple(v.tolist()), f),) + tuple(lifted)
 
 
 # -- Frobenius blocks --------------------------------------------------------
@@ -321,12 +363,9 @@ def frobenius_block(chi: FqPoly) -> MatrixFq:
     k = chi.degree
     if k < 1:
         raise ValueError("chi must be nonconstant")
-    rows = [[0] * k for _ in range(k)]
-    for i in range(k - 1):
-        rows[i][i + 1] = 1
-    for j in range(k):
-        rows[k - 1][j] = F.neg(chi.coeffs[j] if j < len(chi.coeffs) else 0)
-    return MatrixFq(F, rows)
+    array = np.eye(k, k, 1, dtype=F.dtype(k))
+    array[k - 1] = F.sub_arrays(0, F.array(chi.coeffs[:k]))
+    return MatrixFq._wrap(F, array)
 
 
 def compose_with_power(chi: FqPoly, c: int) -> FqPoly:
@@ -374,10 +413,10 @@ def power_block_split(chi: FqPoly, c: int) -> PowerBlockCertificate:
 # -- similarity transform ----------------------------------------------------
 
 
-def _nullspace_mod_field(field: Field, rows: List[List[int]]) -> List[List[int]]:
+def _nullspace_mod_field(field: Field, rows) -> List[List[int]]:
     """Basis of the right nullspace of a matrix over the field."""
     mat, pivots = _rref(field, rows)
-    ncols = len(rows[0]) if rows else 0
+    ncols = len(rows[0]) if len(rows) else 0
     basis = []
     for fc in range(ncols):
         if fc in pivots:
@@ -407,43 +446,40 @@ def similarity_transform(a: MatrixFq, b: MatrixFq) -> MatrixFq:
     # u_i of the generators w_i of B, free up to u_i*f_i(A) = 0: P*S has the
     # Krylov rows of the u_i under A, where P has those of the w_i under B
     decomposition = b.cyclic_decomposition()
-    krylov = [row for w, f in decomposition for row in _krylov(b, w, f.degree)]
-    p_inv = MatrixFq(F, krylov).inverse()
-    unit = MatrixFq.identity(F, n).rows
+    krylov = np.concatenate([_krylov(b, w, f.degree) for w, f in decomposition])
+    p_inv = MatrixFq._wrap(F, krylov).inverse().array
+    unit = MatrixFq.identity(F, n).array
     span = []
     offset = 0
     for _, f in decomposition:
         d = f.degree
-        block = MatrixFq(F, [row[offset:offset + d] for row in p_inv.rows])
+        block = p_inv[:, offset:offset + d]
         if f == decomposition[0][1]:  # the minimal polynomial of A
             kernel = unit
         else:
-            kernel = _nullspace_mod_field(F, list(zip(*(_apply(f, e, a) for e in unit))))
-        for u in kernel:
-            s = block * MatrixFq(F, _krylov(a, u, d))
-            span.append([x for row in reversed(s.rows) for x in reversed(row)])
+            kernel = F.array(_nullspace_mod_field(F, _apply(f, unit, a).T))
+        # one S per u in the kernel, from the Krylov rows of u
+        s = F.matmul(block, _krylov(a, kernel, d).transpose(1, 0, 2))
+        span.append(s[:, ::-1, ::-1].reshape(len(kernel), n * n))
         offset += d
     # the basis that is the identity on the free columns is the reduced
     # echelon form of any spanning set of N with the columns reversed, read
     # from the last row up
-    mat, pivots = _rref(F, span)
-    basis = [row[::-1] for row in reversed(mat[:len(pivots)])]
-
-    def to_matrix(vec: List[int]) -> MatrixFq:
-        return MatrixFq(F, [vec[i * n:(i + 1) * n] for i in range(n)])
+    mat, pivots = _rref(F, np.concatenate(span))
+    basis = F.array(mat[:len(pivots)])[::-1, ::-1]
 
     for vec in basis:
-        s = to_matrix(vec)
+        s = MatrixFq._wrap(F, vec.reshape(n, n))
         if s.is_invertible():
             return s
     rng = random.Random(0)
     for _ in range(500):
-        vec = [0] * (n * n)
+        vec = np.zeros_like(basis[0])
         for bvec in basis:
             coef = rng.randrange(F.q)
             if coef:
-                vec = [F.add(v, F.mul(coef, e)) for v, e in zip(vec, bvec)]
-        s = to_matrix(vec)
+                vec = F.add_arrays(vec, F.mul_arrays(coef, bvec))
+        s = MatrixFq._wrap(F, vec.reshape(n, n))
         if s.is_invertible():
             return s
     raise ValueError("matrices are not similar (no invertible intertwiner found)")
@@ -474,14 +510,12 @@ class GLWitness:
 
 
 def _mult_matrix(field: Field, modulus: FqPoly, elem: FqPoly) -> MatrixFq:
-    """Matrix of multiplication by elem on F_q[X]/(modulus), row action."""
+    """Matrix of multiplication by elem on F_q[X]/(modulus), row action: its
+    rows X^i * elem are the Krylov rows of elem under the companion matrix."""
     d = modulus.degree
-    rows = []
-    for i in range(d):
-        prod = (elem.shift(i)) % modulus
-        row = [prod.coeffs[j] if j < len(prod.coeffs) else 0 for j in range(d)]
-        rows.append(row)
-    return MatrixFq(field, rows)
+    coeffs = (elem % modulus).coeffs
+    row = field.array(coeffs + [0] * (d - len(coeffs)))
+    return MatrixFq._wrap(field, _krylov(frobenius_block(modulus), row, d))
 
 
 def _irreducible_factors(modulus: FqPoly) -> List[FqPoly]:
@@ -619,14 +653,12 @@ def _wreath_matrices(plan: _WreathPlan) -> Tuple[MatrixFq, MatrixFq]:
 
     def monomial(perm: Permutation, values: List[FqPoly]) -> MatrixFq:
         n = r * block
-        rows = [[0] * n for _ in range(n)]
+        array = np.zeros((n, n), dtype=field.dtype(n))
         for v in range(r):
-            b = _mult_matrix(field, plan.modulus, values[v])
+            b = _mult_matrix(field, plan.modulus, values[v]).array
             tv = perm(v)
-            for i in range(block):
-                for j in range(block):
-                    rows[v * block + i][tv * block + j] = b.rows[i][j]
-        return MatrixFq(field, rows)
+            array[v * block:(v + 1) * block, tv * block:(tv + 1) * block] = b
+        return MatrixFq._wrap(field, array)
 
     g = monomial(q.g, xi[:r])
     h = monomial(q.h, xi[r:])

@@ -189,25 +189,6 @@ class TestDensityScan:
             == 2
         )
 
-    def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
-        args = [
-            "density-scan",
-            "--word",
-            "[x,y]",
-            "--ns",
-            "12,24",
-            "--samples",
-            "6",
-            "--seed",
-            "5",
-        ]
-        out1 = tmp_path / "serial.csv"
-        out2 = tmp_path / "parallel.csv"
-        assert run(args + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("WORDMAP_THREADS", "4")
-        assert run(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
 
 class TestAtomicWrites:
     def test_no_partial_file_on_failure(self, tmp_path):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import wordmetric
@@ -847,3 +848,212 @@ class TestRingUnits:
             units = _ring_units.__wrapped__(m)
             assert len(units) == len(set(units)) == phi, m
             assert not any((u % pi).is_zero() for u in units for pi in factors), m
+
+
+def scalar_rref(field, rows):
+    """The scalar elimination that the array one replaced, verbatim."""
+    F = field
+    mat = [list(r) for r in rows]
+    m = len(mat)
+    ncols = len(mat[0]) if m else 0
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == m:
+            break
+        pivot = next((i for i in range(rank, m) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        # the pivot row is zero left of col, so only the columns from col on
+        # change, and only where the pivot row is nonzero
+        inv = F.inv(mat[rank][col])
+        row = [F.mul(inv, e) if e else 0 for e in mat[rank][col:]]
+        mat[rank][col:] = row
+        for i in range(m):
+            f = mat[i][col]
+            if i != rank and f:
+                tail = zip(mat[i][col:], row)
+                mat[i][col:] = [F.sub(x, F.mul(f, y)) if y else x for x, y in tail]
+        pivots.append(col)
+    return mat, pivots
+
+
+def scalar_product(F, rows, other_rows):
+    """The body of the scalar MatrixFq.__mul__ that the array product
+    replaced, verbatim, on the rows of the two factors."""
+    bt = list(zip(*other_rows))
+    out = []
+    for row in rows:
+        new = []
+        for col in bt:
+            acc = 0
+            for a, b in zip(row, col):
+                if a and b:
+                    acc = F.add(acc, F.mul(a, b))
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+# F_2, F_3, F_5, F_4, F_9, F_32 (under the log-table limit), F_{2^18} (past
+# it) and the Mersenne prime 2^61 - 1 (object arrays)
+ARRAY_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 5), (2, 18), (2**61 - 1, 1)]
+
+
+def random_rows(field, m, n, rng, dependent=False):
+    rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        rows = [[x if rng.random() < 0.3 else 0 for x in row] for row in rows]
+    if dependent and m >= 3:
+        c = rng.randrange(field.q)
+        rows[-1] = [field.add(field.mul(c, a), b) for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@pytest.mark.parametrize("p,e", ARRAY_FIELDS)
+class TestArrayArithmetic:
+    """The array product and elimination against the scalar ones they
+    replaced, on seeded matrices of every shape the package builds."""
+
+    SHAPES = [(0, 0), (1, 1), (3, 6), (5, 10), (4, 16), (6, 36)]
+
+    def test_rref_matches_scalar_elimination(self, p, e):
+        F = make_field(p, e)
+        rng = random.Random(p * 7 + e)
+        for m, n in self.SHAPES:
+            for _ in range(3):
+                rows = random_rows(F, m, n, rng, dependent=True)
+                mat, pivots = _rref(F, rows)
+                assert (mat, pivots) == scalar_rref(F, rows)
+                assert all(type(x) is int for row in mat for x in row)
+                assert all(type(c) is int for c in pivots)
+                assert MatrixFq(F, rows).rank() == len(pivots)
+
+    def test_product_matches_scalar_product(self, p, e):
+        F = make_field(p, e)
+        rng = random.Random(p * 11 + e)
+        empty = MatrixFq(F, [])
+        assert (empty * empty).rows == ()
+        for m, n in self.SHAPES[1:]:
+            for k in sorted({1, m, n}):
+                a, b = random_rows(F, m, k, rng), random_rows(F, k, n, rng)
+                prod = MatrixFq(F, a) * MatrixFq(F, b)
+                assert [list(r) for r in prod.rows] == scalar_product(F, a, b)
+                assert all(type(x) is int for row in prod.rows for x in row)
+
+    def test_entrywise_operations_match_scalar_ones(self, p, e):
+        F = make_field(p, e)
+        rng = random.Random(p * 13 + e)
+        a, b = (random_rows(F, 4, 8, rng) for _ in range(2))
+        x, y = MatrixFq(F, a), MatrixFq(F, b)
+        pairs = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
+        assert (x + y).rows == tuple(tuple(F.add(s, t) for s, t in r) for r in pairs)
+        assert (x - y).rows == tuple(tuple(F.sub(s, t) for s, t in r) for r in pairs)
+        assert F.mul_arrays(x.array, y.array).tolist() == [
+            [F.mul(s, t) for s, t in r] for r in pairs
+        ]
+        assert F.sub_arrays(0, x.array).tolist() == [[F.neg(s) for s in r] for r in a]
+
+    def test_inverse_and_invertibility(self, p, e):
+        F = make_field(p, e)
+        rng = random.Random(p * 17 + e)
+        seen = set()
+        for n in (1, 2, 3, 5):
+            for dependent in (False, True):
+                rows = random_rows(F, n, n, rng, dependent=dependent)
+                if not dependent:
+                    rows = [list(r) for r in random_invertible(F, n, rng).rows]
+                a = MatrixFq(F, rows)
+                full = len(scalar_rref(F, rows)[1]) == n
+                seen.add(full)
+                assert a.is_invertible() == full
+                if full:
+                    ident = MatrixFq.identity(F, n)
+                    assert a * a.inverse() == ident == a.inverse() * a
+        assert seen == {True, False}
+
+    def test_list_and_array_build_the_same_matrix(self, p, e):
+        F = make_field(p, e)
+        rows = random_rows(F, 3, 4, random.Random(p + e))
+        a = MatrixFq(F, rows)
+        b = MatrixFq(F, np.array(rows, dtype=object))
+        assert a == b and hash(a) == hash(b)
+        assert a.rows == tuple(map(tuple, rows))
+        assert all(type(x) is int for row in b.rows for x in row)
+
+    def test_stored_arrays_are_read_only(self, p, e):
+        F = make_field(p, e)
+        rng = random.Random(p * 19 + e)
+        a = random_invertible(F, 3, rng)
+        built = [
+            a,
+            a * a,
+            a + a,
+            a - a,
+            a.inverse(),
+            MatrixFq.identity(F, 3),
+            MatrixFq.block_diag(F, [a, a]),
+            MatrixFq.permutation(F, Permutation((1, 2, 0))),
+        ]
+        for m in built:
+            assert not m.array.flags.writeable
+            with pytest.raises(ValueError):
+                m.array[0, 0] = 0
+        source = np.zeros((2, 2), dtype=np.int64)
+        m = MatrixFq(F, source)
+        source[0, 0] = 1
+        assert m.rows == ((0, 0), (0, 0))
+
+
+class TestArrayDomain:
+    def test_entries_outside_the_field_are_rejected(self):
+        for p, e in ((3, 1), (2, 2), (2**61 - 1, 1)):
+            F = make_field(p, e)
+            for bad in (F.q, -1, 2**64, F.q + 5):
+                with pytest.raises(ValueError, match=f"\\[0, {F.q}\\)"):
+                    MatrixFq(F, [[0, bad], [1, 0]])
+                with pytest.raises(ValueError):
+                    MatrixFq(F, np.array([[0, bad], [1, 0]], dtype=object))
+            with pytest.raises(ValueError, match="integers"):
+                MatrixFq(F, [[0.5, 1], [1, 0]])
+
+    def test_ragged_rows_and_other_shapes_are_rejected(self):
+        F = make_field(3, 1)
+        with pytest.raises(ValueError, match="ragged rows"):
+            MatrixFq(F, [[1, 2], [1]])
+        with pytest.raises(ValueError):
+            MatrixFq(F, np.zeros((2, 2, 2), dtype=np.int64))
+        row, square = MatrixFq(F, [[1, 2]]), MatrixFq.identity(F, 2)
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                op(row, square)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            square * row
+
+    def test_int64_only_while_the_sums_fit(self):
+        # n products of entries below p sum to at most n (p - 1)^2
+        for p in (2, 3, 2**31 - 1, 2**61 - 1, 4294967291):
+            F = make_field(p, 1)
+            for n in (1, 2, 3, 64):
+                fits = n * (p - 1) ** 2 < 2**63
+                assert (F.dtype(n) is np.int64) == fits
+                m = MatrixFq.identity(F, n)
+                assert (m.array.dtype == np.int64) == fits
+                assert (m * m).rows == m.rows
+
+    def test_large_prime_product_is_exact(self):
+        F = make_field(2**31 - 1, 1)
+        rng = random.Random(31)
+        for n in (2, 3, 4):
+            a, b = (random_rows(F, n, n, rng) for _ in range(2))
+            prod = MatrixFq(F, a) * MatrixFq(F, b)
+            assert [list(r) for r in prod.rows] == scalar_product(F, a, b)
+
+    def test_invertibility_stops_at_the_first_gap(self):
+        F = make_field(5, 1)
+        rng = random.Random(50)
+        rows = [[0] + [rng.randrange(5) for _ in range(7)] for _ in range(8)]
+        assert glapprox._gauss_jordan(F, np.array(rows), stop_at_gap=True) == []
+        assert not MatrixFq(F, rows).is_invertible()
+        assert MatrixFq(F, rows).rank() == len(scalar_rref(F, rows)[1]) > 0

@@ -55,6 +55,32 @@ def test_private_helpers_are_referenced():
     assert not unused, f"private helpers named only where defined: {unused}"
 
 
+def test_no_environment_knobs():
+    # no module reads the environment, so no variable can change a result
+    src = os.path.dirname(wordmetric.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(src, name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [
+            f"{name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "environb", "getenv", "getenvb")
+        ]
+        found += [
+            f"{name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "os"
+            for alias in node.names
+            if alias.name in ("environ", "environb", "getenv", "getenvb")
+        ]
+    assert not found, f"environment reads in the package: {found}"
+
+
 def test_runtime_dependencies_are_stdlib_and_numpy():
     # numpy is the only runtime dependency; relative imports stay in the package
     src = os.path.dirname(wordmetric.__file__)
