@@ -64,17 +64,6 @@ def _gauss_jordan(field: Field, mat: np.ndarray, stop_at_gap: bool = False) -> L
     return pivots
 
 
-def _rref(field: Field, rows) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form over the field of any 2-D sequence of
-    encoded elements, as rows of Python ints, with its pivot columns; the
-    elimination is _gauss_jordan on a copy."""
-    if not len(rows):
-        return [], []
-    mat = field.array(rows)
-    pivots = _gauss_jordan(field, mat)
-    return mat.tolist(), pivots
-
-
 class MatrixFq:
     """Matrix over a Field, held as one read-only 2-D array of encoded
     elements in [0, q), in the dtype of Field.dtype for its longest side:
@@ -239,6 +228,8 @@ def evaluate_word_matrix(w: Word, g: MatrixFq, h: MatrixFq) -> MatrixFq:
 def rank_distance(a: MatrixFq, b: MatrixFq) -> Fraction:
     if a.field is not b.field or a.n != b.n or a.ncols != b.ncols:
         raise ValueError("matrices live in different spaces")
+    if a.n == 0:
+        return Fraction(0)
     return Fraction((a - b).rank(), a.n)
 
 
@@ -314,9 +305,9 @@ def _invariant_factors(a: MatrixFq) -> Tuple[Tuple[Tuple[int, ...], FqPoly], ...
         # the minimal polynomial g of e: the first r Krylov rows are
         # independent, and column r of the reduced transpose writes eA^r
         # in terms of them
-        mat, pivots = _rref(F, _krylov(a, e, n + 1).T)
-        r = len(pivots)
-        g = FqPoly(F, [F.neg(row[r]) for row in mat[:r]] + [1])
+        mat = _krylov(a, e, n + 1).T
+        r = len(_gauss_jordan(F, mat))
+        g = FqPoly(F, F.sub_arrays(0, mat[:r, r]).tolist() + [1])
         # lcm(f, g) = f1 * g1 with f1 | f and g1 | g coprime; v*(f/f1)(A) has
         # minimal polynomial f1, e*(g/g1)(A) has g1, and their sum f1 * g1
         f1, g1 = f, g // f.gcd(g)
@@ -333,7 +324,7 @@ def _invariant_factors(a: MatrixFq) -> Tuple[Tuple[Tuple[int, ...], FqPoly], ...
     # pivots, A is block triangular and its lower right block is the quotient
     r = f.degree
     krylov = _krylov(a, v, r)
-    pivots = _rref(F, krylov)[1]
+    pivots = _gauss_jordan(F, krylov.copy())
     p = MatrixFq._wrap(F, np.concatenate([krylov, np.delete(unit, pivots, axis=0)]))
     m = p * a * p.inverse()
     lifted = []
@@ -413,19 +404,16 @@ def power_block_split(chi: FqPoly, c: int) -> PowerBlockCertificate:
 # -- similarity transform ----------------------------------------------------
 
 
-def _nullspace_mod_field(field: Field, rows) -> List[List[int]]:
-    """Basis of the right nullspace of a matrix over the field."""
-    mat, pivots = _rref(field, rows)
-    ncols = len(rows[0]) if len(rows) else 0
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(mat[r][fc])
-        basis.append(vec)
+def _nullspace(field: Field, mat: np.ndarray) -> np.ndarray:
+    """Basis of the right nullspace of mat, which is reduced in place: one
+    row per free column, with a 1 in that column and minus the reduced
+    column in the pivot columns."""
+    pivots = _gauss_jordan(field, mat)
+    ncols = mat.shape[1]
+    free = np.delete(np.arange(ncols), pivots)
+    basis = np.zeros((len(free), ncols), dtype=mat.dtype)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.sub_arrays(0, mat[:len(pivots), free].T)
     return basis
 
 
@@ -457,7 +445,7 @@ def similarity_transform(a: MatrixFq, b: MatrixFq) -> MatrixFq:
         if f == decomposition[0][1]:  # the minimal polynomial of A
             kernel = unit
         else:
-            kernel = F.array(_nullspace_mod_field(F, _apply(f, unit, a).T))
+            kernel = _nullspace(F, F.array(_apply(f, unit, a).T))
         # one S per u in the kernel, from the Krylov rows of u
         s = F.matmul(block, _krylov(a, kernel, d).transpose(1, 0, 2))
         span.append(s[:, ::-1, ::-1].reshape(len(kernel), n * n))
@@ -465,8 +453,8 @@ def similarity_transform(a: MatrixFq, b: MatrixFq) -> MatrixFq:
     # the basis that is the identity on the free columns is the reduced
     # echelon form of any spanning set of N with the columns reversed, read
     # from the last row up
-    mat, pivots = _rref(F, np.concatenate(span))
-    basis = F.array(mat[:len(pivots)])[::-1, ::-1]
+    mat = np.concatenate(span)
+    basis = mat[:len(_gauss_jordan(F, mat))][::-1, ::-1]
 
     for vec in basis:
         s = MatrixFq._wrap(F, vec.reshape(n, n))
@@ -474,12 +462,10 @@ def similarity_transform(a: MatrixFq, b: MatrixFq) -> MatrixFq:
             return s
     rng = random.Random(0)
     for _ in range(500):
-        vec = np.zeros_like(basis[0])
-        for bvec in basis:
-            coef = rng.randrange(F.q)
-            if coef:
-                vec = F.add_arrays(vec, F.mul_arrays(coef, bvec))
-        s = MatrixFq._wrap(F, vec.reshape(n, n))
+        # the coefficients take the dtype for len(basis) summands, so the
+        # product fits
+        coefs = [rng.randrange(F.q) for _ in basis]
+        s = MatrixFq._wrap(F, F.matmul(F.array(coefs), basis).reshape(n, n))
         if s.is_invertible():
             return s
     raise ValueError("matrices are not similar (no invertible intertwiner found)")

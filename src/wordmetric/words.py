@@ -271,6 +271,8 @@ def power(x, n: int, one, mul=operator.mul):
     The result starts at the power of x for the lowest set bit of n, and the
     base is not squared after the last bit.
     """
+    if n < 0:
+        raise ValueError("power needs a nonnegative exponent")
     if n == 0:
         return one
     while not n & 1:

@@ -9,8 +9,8 @@ from wordmetric.cayley import FiniteQuotient
 from wordmetric.ffield import FqPoly, make_field
 from wordmetric.glapprox import (
     MatrixFq,
-    _nullspace_mod_field,
-    _rref,
+    _gauss_jordan,
+    _nullspace,
     evaluate_word_matrix,
 )
 from wordmetric.perms import Permutation, evaluate_word
@@ -112,6 +112,14 @@ class TestPower:
                 )
                 assert f.powmod(n, modulus) == expected
 
+    def test_negative_exponent_is_rejected(self):
+        F = make_field(2, 2)
+        modulus = FqPoly(F, [1, 1, 1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            power(2, -1, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            FqPoly(F, [0, 1]).powmod(-1, modulus)
+
 
 class TestEvaluate:
     @pytest.mark.parametrize("text", ["x", "y^-3", "[x,y]", "x^2 y^-1 x^3 y^4", "[[x,y],x]"])
@@ -212,18 +220,17 @@ def reference_rref(field, rows):
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
 class TestRref:
     def test_matches_reference_elimination(self, p, e):
-        # 1 to 40 rows, dense and sparse; an entry that is not a plain int
-        # would fail json.dumps
+        # 1 to 40 rows, dense and sparse
         F = make_field(p, e)
         rng = random.Random(p * 30 + e)
         for m in range(1, 41):
             rows = random_rows(F, m, rng.randint(1, 45), rng)
             if m % 2:
                 rows = [[x if rng.random() < 0.2 else 0 for x in row] for row in rows]
-            mat, pivots = _rref(F, rows)
-            assert all(type(x) is int for row in mat for x in row)
+            mat = F.array(rows)
+            pivots = _gauss_jordan(F, mat)
             assert all(type(c) is int for c in pivots)
-            assert (mat, pivots) == reference_rref(F, rows)
+            assert (mat.tolist(), pivots) == reference_rref(F, rows)
 
     def test_reduced_form_rank_and_nullspace(self, p, e):
         F = make_field(p, e)
@@ -231,7 +238,9 @@ class TestRref:
         for _ in range(40):
             m, n = rng.randint(1, 6), rng.randint(1, 6)
             rows = random_rows(F, m, n, rng)
-            mat, pivots = _rref(F, rows)
+            mat = F.array(rows)
+            pivots = _gauss_jordan(F, mat)
+            mat = mat.tolist()
             rank = len(pivots)
             assert pivots == sorted(set(pivots))
             for r, c in enumerate(pivots):
@@ -239,7 +248,7 @@ class TestRref:
                 assert not any(mat[r][:c])
             assert all(not any(row) for row in mat[rank:])
             assert MatrixFq(F, rows).rank() == rank
-            basis = _nullspace_mod_field(F, rows)
+            basis = _nullspace(F, F.array(rows)).tolist()
             assert rank + len(basis) == n
             a = MatrixFq(F, rows)
             for v in basis:
@@ -271,17 +280,19 @@ def test_word_sized_prime_is_reduced_exactly():
     rng = random.Random(30)
     n = 30
     a = MatrixFq(F, random_rows(F, n, n, rng))
-    mat, pivots = _rref(F, a.rows)
-    assert mat == [[int(i == j) for j in range(n)] for i in range(n)]
+    mat = F.array(a.rows)
+    pivots = _gauss_jordan(F, mat)
+    assert mat.tolist() == [[int(i == j) for j in range(n)] for i in range(n)]
     assert pivots == list(range(n))
     assert a.inverse() * a == MatrixFq.identity(F, n)
     assert a * a.inverse() == MatrixFq.identity(F, n)
     rows = [list(row) for row in a.rows]
     rows[-1] = [F.add(F.mul(7, x), y) for x, y in zip(rows[0], rows[1])]
-    mat, pivots = _rref(F, rows)
-    assert (mat, pivots) == reference_rref(F, rows)
+    mat = F.array(rows)
+    pivots = _gauss_jordan(F, mat)
+    assert (mat.tolist(), pivots) == reference_rref(F, rows)
     assert len(pivots) == n - 1
-    (v,) = _nullspace_mod_field(F, rows)
+    (v,) = _nullspace(F, F.array(rows)).tolist()
     assert not any(x for (x,) in (MatrixFq(F, rows) * MatrixFq(F, [[c] for c in v])).rows)
 
 

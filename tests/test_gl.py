@@ -18,9 +18,9 @@ from wordmetric.glapprox import (
     GLWitness,
     MatrixFq,
     _WREATH_RING_LIMIT,
+    _gauss_jordan,
     _irreducible_factors,
     _ring_units,
-    _rref,
     _try_wreath_plan,
     approx_gl,
     compose_with_power,
@@ -74,7 +74,7 @@ def reference_similarity_transform(a, b):
                 row[i * n + k] = F.add(row[i * n + k], a.rows[k][j])
                 row[k * n + j] = F.sub(row[k * n + j], b.rows[i][k])
             rows.append(row)
-    mat, pivots = _rref(F, rows)
+    mat, pivots = scalar_rref(F, rows)
     basis = []
     for fc in range(n * n):
         if fc in pivots:
@@ -185,6 +185,11 @@ class TestRankDistance:
         chi = FqPoly(F, [1, 0, 1])  # X^2 + 1
         cyc = FqPoly(F, [2, 0, 1])  # X^2 - 1
         assert rank_distance(frobenius_block(chi), frobenius_block(cyc)) <= Fraction(1, 2)
+
+    def test_empty_matrices_are_at_distance_zero(self):
+        F = make_field(3, 1)
+        empty = MatrixFq(F, [])
+        assert rank_distance(empty, empty) == 0
 
     def test_metric_embedding_of_permutations(self):
         F = make_field(2, 1)
@@ -479,12 +484,15 @@ class TestSimilarityTransform:
         approx_gl(parse_word("[x,y]"), MatrixFq(make_field(3, 1), [[2, 0], [0, 2]]))
         assert len(calls) == 4
         pairs.extend(calls)
-        # the pinned pair whose basis has no invertible vector
-        F = make_field(2, 1)
-        rng = random.Random(45)
-        a = random_invertible(F, 4, rng)
-        conj = random_invertible(F, 4, rng)
-        pairs.append((a, conj.inverse() * a * conj))
+        # pairs whose basis has no invertible vector, over F_2, F_4 and F_9:
+        # the extension fields multiply the random combination by _schoolbook
+        for seed, p, e, n in ((45, 2, 1, 4), (23, 2, 2, 3), (15, 3, 2, 3)):
+            F, rng = make_field(p, e), random.Random(seed)
+            a = random_invertible(F, n, rng)
+            conj = random_invertible(F, n, rng)
+            b = conj.inverse() * a * conj
+            assert reference_similarity_transform(a, b)[1] == "random"
+            pairs.append((a, b))
         paths = set()
         for a, b in pairs:
             expected, path = reference_similarity_transform(a, b)
@@ -530,13 +538,14 @@ class TestSimilarityTransform:
         (chi,) = a.invariant_factors()
         b = frobenius_block(chi)
         shapes = []
-        orig = glapprox._rref
+        orig = glapprox._gauss_jordan
 
-        def recorded(field, rows):
-            shapes.append((len(rows), len(rows[0])))
-            return orig(field, rows)
+        def recorded(field, mat, stop_at_gap=False):
+            if not stop_at_gap:
+                shapes.append(mat.shape)
+            return orig(field, mat, stop_at_gap)
 
-        monkeypatch.setattr(glapprox, "_rref", recorded)
+        monkeypatch.setattr(glapprox, "_gauss_jordan", recorded)
         s = similarity_transform(a, b)
         assert s * a == b * s
         assert shapes and max(rows for rows, _ in shapes) <= 12
@@ -562,6 +571,13 @@ class TestApproxGL:
         F = make_field(2, 1)
         wit = approx_gl(parse_word("[x,y]"), MatrixFq.identity(F, 4))
         assert wit.achieved_distance == 0
+
+    def test_empty_target(self):
+        F = make_field(2, 1)
+        wit = approx_gl(parse_word("[x,y]"), MatrixFq(F, []))
+        assert wit.achieved_distance == 0
+        assert wit.trace == {"path": "blockwise", "summands": []}
+        assert wit.g.n == wit.h.n == wit.value.n == 0
 
     def test_cycle_target_equals_embedded_symmetric_distance(self):
         F = make_field(2, 1)
@@ -924,11 +940,29 @@ class TestArrayArithmetic:
         for m, n in self.SHAPES:
             for _ in range(3):
                 rows = random_rows(F, m, n, rng, dependent=True)
-                mat, pivots = _rref(F, rows)
-                assert (mat, pivots) == scalar_rref(F, rows)
-                assert all(type(x) is int for row in mat for x in row)
+                mat = F.array(rows).reshape(m, n)
+                pivots = _gauss_jordan(F, mat)
+                assert (mat.tolist(), pivots) == scalar_rref(F, rows)
                 assert all(type(c) is int for c in pivots)
                 assert MatrixFq(F, rows).rank() == len(pivots)
+
+    def test_results_leave_as_python_ints(self, p, e):
+        # the elimination leaves numpy integers in its arrays; none may reach
+        # a canonical form, a generator or a trace, where json.dumps and the
+        # digests read them
+        F = make_field(p, e)
+        rng = random.Random(p * 23 + e)
+        w = parse_word("[x,y]")
+        for n in (1, 3, 4):
+            a = random_invertible(F, n, rng)
+            assert all(type(c) is int for f in a.invariant_factors() for c in f.coeffs)
+            for gen, f in a.cyclic_decomposition():
+                assert all(type(x) is int for x in gen)
+                assert all(type(c) is int for c in f.coeffs)
+            wit = approx_gl(w, a)
+            json.dumps(wit.trace)
+            for m in (wit.g, wit.h, wit.value):
+                assert all(type(x) is int for row in m.rows for x in row)
 
     def test_product_matches_scalar_product(self, p, e):
         F = make_field(p, e)
