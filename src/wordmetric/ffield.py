@@ -9,6 +9,7 @@ printing are deterministic across runs.
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -128,50 +129,45 @@ class Field:
     def __repr__(self):
         return f"F_{self.q}" if self.e == 1 else f"F_{self.q} (= F_{self.p}^{self.e})"
 
-    # encoding helpers
+    # encoding and arithmetic: each body runs on Python ints and, entrywise
+    # with broadcasting, on integer arrays of encoded elements
 
-    def coeffs(self, a: int) -> Tuple[int, ...]:
+    def coeffs(self, a) -> tuple:
+        """The base-p digits c_0, ..., c_{e-1} of a."""
         out = []
         for _ in range(self.e):
             out.append(a % self.p)
-            a //= self.p
+            a = a // self.p
         return tuple(out)
 
-    def encode(self, coeffs) -> int:
+    def encode(self, coeffs):
         val = 0
         for c in reversed(list(coeffs)):
             val = val * self.p + c % self.p
         return val
 
-    # arithmetic
-
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
+        p, out, unit = self.p, 0, 1
+        for _ in range(self.e):
+            out = out + (a % p + b % p) % p * unit
+            a, b, unit = a // p, b // p, unit * p
         return out
 
-    def neg(self, a: int) -> int:
+    def sub(self, a, b):
+        if self.e == 1:
+            return (a - b) % self.p
+        p, out, unit = self.p, 0, 1
+        for _ in range(self.e):
+            out = out + (a % p - b % p) % p * unit
+            a, b, unit = a // p, b // p, unit * p
+        return out
+
+    def neg(self, a):
         if self.e == 1:
             return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.sub(0, a)
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -180,24 +176,7 @@ class Field:
             if a == 0 or b == 0:
                 return 0
             return self._exp[self._log[a] + self._log[b]]
-        return self._mul_slow(a, b)
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        """Schoolbook product of the coefficient vectors, reduced top down by
-        the monic modulus; encode takes the coefficients mod p."""
-        e, m = self.e, self.modulus
-        cb = self.coeffs(b)
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(self.coeffs(a)):
-            if ai:
-                for j, bj in enumerate(cb):
-                    prod[i + j] += ai * bj
-        for k in range(2 * e - 2, e - 1, -1):
-            c = prod[k] % self.p
-            if c:
-                for i in range(e):
-                    prod[k - e + i] -= c * m[i]
-        return self.encode(prod[:e])
+        return self._schoolbook(a, b, operator.mul)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -215,8 +194,7 @@ class Field:
             return 0 if n > 0 else 1
         return power(a, n % (self.q - 1), 1, self.mul)
 
-    # arithmetic on arrays of encoded elements, entrywise with broadcasting;
-    # the same results as the scalar operations above
+    # arrays of encoded elements
 
     def dtype(self, n: int):
         """int64 while a sum of n products of entries below p fits in it,
@@ -232,35 +210,11 @@ class Field:
             raise ValueError(f"elements of {self!r} are encoded as integers")
         return values.astype(self.dtype(max(values.shape, default=0)))
 
-    def _digits(self, a) -> List[np.ndarray]:
-        """The base-p coefficient arrays c_0, ..., c_{e-1} of a."""
-        return [a // self.p**i % self.p for i in range(self.e)]
-
-    def _encode_digits(self, digits) -> np.ndarray:
-        acc = digits[-1]
-        for c in reversed(digits[:-1]):
-            acc = acc * self.p + c
-        return acc
-
-    def add_arrays(self, a, b) -> np.ndarray:
-        if self.e == 1:
-            return (a + b) % self.p
-        return self._encode_digits(
-            [(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))]
-        )
-
-    def sub_arrays(self, a, b) -> np.ndarray:
-        if self.e == 1:
-            return (a - b) % self.p
-        return self._encode_digits(
-            [(x - y) % self.p for x, y in zip(self._digits(a), self._digits(b))]
-        )
-
     def sub_product(self, a, b, c) -> np.ndarray:
         """a - b*c, with one reduction for a prime field."""
         if self.e == 1:
             return (a - b * c) % self.p
-        return self.sub_arrays(a, self.mul_arrays(b, c))
+        return self.sub(a, self.mul_arrays(b, c))
 
     def mul_arrays(self, a, b) -> np.ndarray:
         if self.e == 1:
@@ -278,13 +232,13 @@ class Field:
             return a @ b % self.p
         return self._schoolbook(a, b, np.matmul)
 
-    def _schoolbook(self, a, b, product) -> np.ndarray:
-        """_mul_slow on the coefficient arrays: the products of the
-        coefficients of a and b under `product` (entrywise or matrix), each
-        reduced mod p at once so that the dtype bound holds, then reduced
-        top down by the monic modulus."""
+    def _schoolbook(self, a, b, product):
+        """The product of the coefficient vectors of a and b, their digit
+        products taken by `product` (operator.mul on ints; np.multiply or
+        np.matmul on arrays) and each reduced mod p at once so that the dtype
+        bound holds, then reduced top down by the monic modulus."""
         p, e, m = self.p, self.e, self.modulus
-        x, y = self._digits(a), self._digits(b)
+        x, y = self.coeffs(a), self.coeffs(b)
         prod = [0] * (2 * e - 1)
         for i in range(e):
             for j in range(e):
@@ -293,24 +247,26 @@ class Field:
             c = prod[k] % p
             for i in range(e):
                 prod[k - e + i] = prod[k - e + i] - c * m[i]
-        return self._encode_digits([coef % p for coef in prod[:e]])
+        return self.encode(prod[:e])
 
     # tables, orders, generators
 
     def _build_tables(self):
+        """exp[i] = g^i by doubling, exp[k:2k] = exp[:k] * g^k, and log its
+        inverse; the list halves of exp share their int objects."""
         if self._exp is not None or self.q > _LOG_TABLE_LIMIT or self.e == 1:
             return
         g = self.multiplicative_generator()
-        exp = [1] * (2 * (self.q - 1))
-        log = [0] * self.q
-        acc = 1
-        for i in range(self.q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_slow(acc, g)
-        for i in range(self.q - 1, 2 * (self.q - 1)):
-            exp[i] = exp[i - (self.q - 1)]
-        self._exp, self._log = exp, log
+        n = self.q - 1
+        exp = np.ones(n, dtype=np.int64)
+        k, g_k = 1, g
+        while k < n:
+            exp[k:2 * k] = self._schoolbook(exp[:min(k, n - k)], g_k, np.multiply)
+            k, g_k = 2 * k, self._schoolbook(g_k, g_k, operator.mul)
+        log = np.zeros(self.q, dtype=np.int64)
+        log[exp] = np.arange(n)
+        exp = exp.tolist()
+        self._exp, self._log = exp + exp, log.tolist()
 
     def unit_group_factorization(self) -> dict:
         if self._unit_factorization is None:
@@ -429,12 +385,6 @@ class FqPoly:
     def scale(self, c: int) -> "FqPoly":
         F = self.field
         return FqPoly(F, [F.mul(c, a) for a in self.coeffs])
-
-    def shift(self, k: int) -> "FqPoly":
-        """Multiply by X^k."""
-        if self.is_zero():
-            return self
-        return FqPoly(self.field, [0] * k + self.coeffs)
 
     def divmod(self, other: "FqPoly") -> Tuple["FqPoly", "FqPoly"]:
         F = self.field

@@ -161,11 +161,11 @@ class MatrixFq:
 
     def __add__(self, other: "MatrixFq") -> "MatrixFq":
         self._check_shape(other)
-        return MatrixFq._wrap(self.field, self.field.add_arrays(self.array, other.array))
+        return MatrixFq._wrap(self.field, self.field.add(self.array, other.array))
 
     def __sub__(self, other: "MatrixFq") -> "MatrixFq":
         self._check_shape(other)
-        return MatrixFq._wrap(self.field, self.field.sub_arrays(self.array, other.array))
+        return MatrixFq._wrap(self.field, self.field.sub(self.array, other.array))
 
     def __mul__(self, other: "MatrixFq") -> "MatrixFq":
         if self.ncols != other.n:
@@ -259,6 +259,8 @@ def load_matrix(text: str) -> MatrixFq:
             coeffs = [int(c) for c in entry.split(",")]
             if len(coeffs) != e:
                 raise ValueError(f"entry {entry!r} needs {e} coefficients")
+            if not all(0 <= c < p for c in coeffs):
+                raise ValueError(f"entry {entry!r} has a coefficient outside [0, {p})")
             row.append(field.encode(coeffs))
         rows.append(row)
     return MatrixFq(field, rows)
@@ -307,7 +309,7 @@ def _invariant_factors(a: MatrixFq) -> Tuple[Tuple[Tuple[int, ...], FqPoly], ...
         # in terms of them
         mat = _krylov(a, e, n + 1).T
         r = len(_gauss_jordan(F, mat))
-        g = FqPoly(F, F.sub_arrays(0, mat[:r, r]).tolist() + [1])
+        g = FqPoly(F, F.sub(0, mat[:r, r]).tolist() + [1])
         # lcm(f, g) = f1 * g1 with f1 | f and g1 | g coprime; v*(f/f1)(A) has
         # minimal polynomial f1, e*(g/g1)(A) has g1, and their sum f1 * g1
         f1, g1 = f, g // f.gcd(g)
@@ -315,7 +317,7 @@ def _invariant_factors(a: MatrixFq) -> Tuple[Tuple[Tuple[int, ...], FqPoly], ...
         while d.degree > 0:
             f1, g1 = f1 // d, g1 * d
             d = f1.gcd(g1)
-        v = F.add_arrays(_apply(f // f1, v, a), _apply(g // g1, e, a))
+        v = F.add(_apply(f // f1, v, a), _apply(g // g1, e, a))
         f = f1 * g1
         if f.degree == n:
             return ((tuple(v.tolist()), f),)
@@ -355,7 +357,7 @@ def frobenius_block(chi: FqPoly) -> MatrixFq:
     if k < 1:
         raise ValueError("chi must be nonconstant")
     array = np.eye(k, k, 1, dtype=F.dtype(k))
-    array[k - 1] = F.sub_arrays(0, F.array(chi.coeffs[:k]))
+    array[k - 1] = F.sub(0, F.array(chi.coeffs[:k]))
     return MatrixFq._wrap(F, array)
 
 
@@ -413,7 +415,7 @@ def _nullspace(field: Field, mat: np.ndarray) -> np.ndarray:
     free = np.delete(np.arange(ncols), pivots)
     basis = np.zeros((len(free), ncols), dtype=mat.dtype)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = field.sub_arrays(0, mat[:len(pivots), free].T)
+    basis[:, pivots] = field.sub(0, mat[:len(pivots), free].T)
     return basis
 
 

@@ -322,7 +322,8 @@ def _power_value(a: int, sigma: Permutation) -> Tuple[Permutation, dict]:
             trace_blocks[str(k)] = {"fixed": len(cycles)}
             continue
         c = len(cycles)
-        sizes = [d for d in range(1, a + 1) if math.gcd(k * d, a) == d]
+        # a group of d cycles needs d <= c, so larger d never enter the sum
+        sizes = [d for d in range(1, min(a, c) + 1) if math.gcd(k * d, a) == d]
         # unbounded subset sum: cover as many cycles as possible exactly
         best = [None] * (c + 1)
         best[0] = 0

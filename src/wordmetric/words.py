@@ -51,6 +51,9 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n == 0:
             return Word(())
+        if len(self.letters) == 1:
+            gen, exp = self.letters[0]
+            return Word(((gen, exp * n),))
         base = self if n > 0 else self.inverse()
         return Word(base.letters * abs(n))
 

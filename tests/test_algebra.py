@@ -89,7 +89,7 @@ class TestPower:
 
     @pytest.mark.parametrize("p,e", [(7, 1), (3, 2), (2, 4), (2, 18)])
     def test_field_pow(self, p, e):
-        # (2, 18) lies past the log-table limit, so it multiplies by _mul_slow
+        # (2, 18) lies past the log-table limit, so it multiplies by the schoolbook product
         F = make_field(p, e)
         rng = random.Random(p * 100 + e)
         for a in [0, 1] + [rng.randrange(2, F.q) for _ in range(4)]:

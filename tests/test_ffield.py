@@ -2,11 +2,13 @@
 
 import itertools
 import json
+import operator
 import os
 import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wordmetric
@@ -327,18 +329,83 @@ def _reference_product(F, a, b):
     return F.encode((prod % FqPoly(base, F.modulus)).coeffs)
 
 
+# the schoolbook product is the scalar multiplication past the table limit
+# and builds the tables below it; both must agree with the polynomial product
+
+
 @pytest.mark.parametrize("p,e", [(2, 4), (5, 2), (3, 3)])
 def test_mul_slow_matches_polynomial_product_on_all_pairs(p, e):
     F = make_field(p, e)
     for a in range(F.q):
         for b in range(F.q):
-            assert F._mul_slow(a, b) == _reference_product(F, a, b)
+            expected = _reference_product(F, a, b)
+            assert F._schoolbook(a, b, operator.mul) == expected
+            assert F.mul(a, b) == expected
 
 
-@pytest.mark.parametrize("p,e", [(11, 4), (7681, 2)])
+@pytest.mark.parametrize("p,e", [(11, 4), (7681, 2), (2, 18), (17, 6)])
 def test_mul_slow_matches_polynomial_product_on_random_pairs(p, e):
     F = make_field(p, e)
     rng = random.Random(p + e)
     for _ in range(500):
         a, b = rng.randrange(F.q), rng.randrange(F.q)
-        assert F._mul_slow(a, b) == _reference_product(F, a, b)
+        expected = _reference_product(F, a, b)
+        assert F._schoolbook(a, b, operator.mul) == expected
+        assert F.mul(a, b) == expected
+
+
+def _reference_tables(F):
+    """exp and log one element at a time, g^i by repeated multiplication
+    with the polynomial product: the reference for the doubling build."""
+    g = F.multiplicative_generator()
+    exp = [1] * (2 * (F.q - 1))
+    log = [0] * F.q
+    acc = 1
+    for i in range(F.q - 1):
+        exp[i] = acc
+        log[acc] = i
+        acc = _reference_product(F, acc, g)
+    for i in range(F.q - 1, 2 * (F.q - 1)):
+        exp[i] = exp[i - (F.q - 1)]
+    return exp, log
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (2, 10), (3, 7), (17, 3), (11, 4)])
+def test_tables_match_the_per_element_loop(p, e):
+    F = make_field(p, e)
+    assert (F._exp, F._log) == _reference_tables(F)
+    assert all(type(x) is int for x in F._exp + F._log)
+    # both halves of exp share their int objects
+    assert all(x is y for x, y in zip(F._exp[:F.q - 1], F._exp[F.q - 1:]))
+
+
+# a prime field, one with tables, and two past the table limit
+ARITHMETIC_FIELDS = [(7, 1), (3, 4), (2, 18), (17, 6)]
+
+
+@pytest.mark.parametrize("p,e", ARITHMETIC_FIELDS)
+def test_scalar_operations_return_python_ints(p, e):
+    F = make_field(p, e)
+    rng = random.Random(p * 3 + e)
+    for _ in range(20):
+        a, b = rng.randrange(1, F.q), rng.randrange(F.q)
+        for value in (F.add(a, b), F.sub(a, b), F.neg(a), F.mul(a, b), F.inv(a)):
+            assert type(value) is int
+
+
+@pytest.mark.parametrize("p,e", ARITHMETIC_FIELDS)
+def test_array_operations_return_arrays_of_the_scalar_results(p, e):
+    F = make_field(p, e)
+    rng = random.Random(p * 5 + e)
+    a, b = ([rng.randrange(F.q) for _ in range(12)] for _ in range(2))
+    x, y = F.array(a), F.array(b)
+    for op in (F.add, F.sub, F.mul_arrays):
+        out = op(x, y)
+        assert isinstance(out, np.ndarray) and out.dtype == x.dtype
+        scalar = F.mul if op is F.mul_arrays else op
+        assert out.tolist() == [scalar(s, t) for s, t in zip(a, b)]
+    out = F.neg(x)
+    assert isinstance(out, np.ndarray) and out.tolist() == [F.neg(s) for s in a]
+    digits = F.coeffs(x)
+    assert len(digits) == F.e and all(isinstance(d, np.ndarray) for d in digits)
+    assert F.encode(digits).tolist() == a

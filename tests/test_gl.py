@@ -33,7 +33,7 @@ from wordmetric.glapprox import (
     store_matrix,
 )
 from wordmetric.perms import Permutation
-from wordmetric.words import parse_word
+from wordmetric.words import parse_word, power
 
 
 def random_invertible(field, n, rng):
@@ -58,6 +58,78 @@ def poly_at(f, a):
     return acc
 
 
+class ScalarField:
+    """Scalar field arithmetic in separate code: digit loops for add and
+    neg, the field's log tables for mul and inv, and the schoolbook product
+    on coefficient lists past the table limit.  The references below compute
+    with it, so that the package's arithmetic, whose bodies serve ints and
+    arrays alike, is checked against code other than its own."""
+
+    def __init__(self, field):
+        self.field = field
+        self.p, self.e, self.q, self.modulus = field.p, field.e, field.q, field.modulus
+
+    def add(self, a, b):
+        if self.e == 1:
+            return (a + b) % self.p
+        p = self.p
+        out = 0
+        mult = 1
+        while a or b:
+            out += ((a % p + b % p) % p) * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
+
+    def neg(self, a):
+        if self.e == 1:
+            return (-a) % self.p
+        p = self.p
+        out = 0
+        mult = 1
+        while a:
+            out += ((p - a % p) % p) * mult
+            a //= p
+            mult *= p
+        return out
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if self.e == 1:
+            return a * b % self.p
+        if self.field._log is not None:
+            if a == 0 or b == 0:
+                return 0
+            return self.field._exp[self.field._log[a] + self.field._log[b]]
+        return self._mul_slow(a, b)
+
+    def _mul_slow(self, a, b):
+        e, m = self.e, self.modulus
+        cb = self.field.coeffs(b)
+        prod = [0] * (2 * e - 1)
+        for i, ai in enumerate(self.field.coeffs(a)):
+            if ai:
+                for j, bj in enumerate(cb):
+                    prod[i + j] += ai * bj
+        for k in range(2 * e - 2, e - 1, -1):
+            c = prod[k] % self.p
+            if c:
+                for i in range(e):
+                    prod[k - e + i] -= c * m[i]
+        return self.field.encode(prod[:e])
+
+    def inv(self, a):
+        if self.e == 1:
+            return pow(a, self.p - 2, self.p)
+        if self.field._log is not None:
+            log = self.field._log[a]
+            return self.field._exp[(self.q - 1) - log if log else 0]
+        return power(a, self.q - 2, 1, self.mul)
+
+
 def reference_similarity_transform(a, b):
     """S with S*A = B*S from the nullspace of the n^2 x n^2 linear system on
     the entries of S, and the path that chose it: the first invertible
@@ -65,7 +137,7 @@ def reference_similarity_transform(a, b):
     first invertible Random(0) combination of that basis."""
     if a == b:
         return MatrixFq.identity(a.field, a.n), "identity"
-    F, n = a.field, a.n
+    F, n = ScalarField(a.field), a.n
     rows = []
     for i in range(n):
         for j in range(n):
@@ -74,7 +146,7 @@ def reference_similarity_transform(a, b):
                 row[i * n + k] = F.add(row[i * n + k], a.rows[k][j])
                 row[k * n + j] = F.sub(row[k * n + j], b.rows[i][k])
             rows.append(row)
-    mat, pivots = scalar_rref(F, rows)
+    mat, pivots = scalar_rref(F.field, rows)
     basis = []
     for fc in range(n * n):
         if fc in pivots:
@@ -88,7 +160,7 @@ def reference_similarity_transform(a, b):
         raise ValueError("matrices are not similar")
 
     def to_matrix(vec):
-        return MatrixFq(F, [vec[i * n:(i + 1) * n] for i in range(n)])
+        return MatrixFq(F.field, [vec[i * n:(i + 1) * n] for i in range(n)])
 
     for vec in basis:
         s = to_matrix(vec)
@@ -565,6 +637,17 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_matrix("not a descriptor\n1 2\n")
 
+    def test_coefficients_outside_the_prime_field_rejected(self):
+        # 3 over F_2 would read as 1 (the identity) and -1 over F_3 as 2;
+        # the entry must be named
+        with pytest.raises(ValueError, match="'3'"):
+            load_matrix("2 1\n3 0\n0 1\n")
+        with pytest.raises(ValueError, match="'-1'"):
+            load_matrix("3 1\n-1 0\n0 1\n")
+        with pytest.raises(ValueError, match="'1,2'"):
+            load_matrix("2 2\n1,2 0,0\n0,0 1,0\n")
+        assert load_matrix("3 1\n2 0\n0 1\n").rows == ((2, 0), (0, 1))
+
 
 class TestApproxGL:
     def test_identity_is_exact(self):
@@ -867,8 +950,9 @@ class TestRingUnits:
 
 
 def scalar_rref(field, rows):
-    """The scalar elimination that the array one replaced, verbatim."""
-    F = field
+    """The scalar elimination that the array one replaced, verbatim, in the
+    scalar arithmetic."""
+    F = ScalarField(field)
     mat = [list(r) for r in rows]
     m = len(mat)
     ncols = len(mat[0]) if m else 0
@@ -897,7 +981,9 @@ def scalar_rref(field, rows):
 
 def scalar_product(F, rows, other_rows):
     """The body of the scalar MatrixFq.__mul__ that the array product
-    replaced, verbatim, on the rows of the two factors."""
+    replaced, verbatim, on the rows of the two factors in the scalar
+    arithmetic."""
+    F = ScalarField(F)
     bt = list(zip(*other_rows))
     out = []
     for row in rows:
@@ -982,12 +1068,19 @@ class TestArrayArithmetic:
         a, b = (random_rows(F, 4, 8, rng) for _ in range(2))
         x, y = MatrixFq(F, a), MatrixFq(F, b)
         pairs = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
-        assert (x + y).rows == tuple(tuple(F.add(s, t) for s, t in r) for r in pairs)
-        assert (x - y).rows == tuple(tuple(F.sub(s, t) for s, t in r) for r in pairs)
-        assert F.mul_arrays(x.array, y.array).tolist() == [
-            [F.mul(s, t) for s, t in r] for r in pairs
-        ]
-        assert F.sub_arrays(0, x.array).tolist() == [[F.neg(s) for s in r] for r in a]
+        ref = ScalarField(F)
+        added = [[ref.add(s, t) for s, t in r] for r in pairs]
+        subtracted = [[ref.sub(s, t) for s, t in r] for r in pairs]
+        multiplied = [[ref.mul(s, t) for s, t in r] for r in pairs]
+        negated = [[ref.neg(s) for s in r] for r in a]
+        assert (x + y).rows == tuple(map(tuple, added))
+        assert (x - y).rows == tuple(map(tuple, subtracted))
+        assert F.mul_arrays(x.array, y.array).tolist() == multiplied
+        assert F.sub(0, x.array).tolist() == F.neg(x.array).tolist() == negated
+        assert [[F.add(s, t) for s, t in r] for r in pairs] == added
+        assert [[F.sub(s, t) for s, t in r] for r in pairs] == subtracted
+        assert [[F.mul(s, t) for s, t in r] for r in pairs] == multiplied
+        assert [[F.neg(s) for s in r] for r in a] == negated
 
     def test_inverse_and_invertibility(self, p, e):
         F = make_field(p, e)

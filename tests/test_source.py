@@ -9,17 +9,22 @@ import sys
 import wordmetric
 
 
-def test_no_bare_assert_in_package():
-    # python -O strips assert statements, so a check that guards a
-    # certificate must raise instead
+def _package_trees():
+    """(file name, parsed module) for each source file of the package."""
     src = os.path.dirname(wordmetric.__file__)
-    found = []
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
             continue
         path = os.path.join(src, name)
         with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
+            yield name, ast.parse(fh.read(), filename=path)
+
+
+def test_no_bare_assert_in_package():
+    # python -O strips assert statements, so a check that guards a
+    # certificate must raise instead
+    found = []
+    for name, tree in _package_trees():
         found += [
             f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
@@ -28,15 +33,9 @@ def test_no_bare_assert_in_package():
 
 def test_private_helpers_are_referenced():
     # a private function or class that only its definition names is dead
-    src = os.path.dirname(wordmetric.__file__)
     defined = {}
     uses = {}
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(src, name)
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 found = node.name
@@ -57,14 +56,8 @@ def test_private_helpers_are_referenced():
 
 def test_no_environment_knobs():
     # no module reads the environment, so no variable can change a result
-    src = os.path.dirname(wordmetric.__file__)
     found = []
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(src, name)
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
+    for name, tree in _package_trees():
         found += [
             f"{name}:{node.lineno} {node.attr}"
             for node in ast.walk(tree)
@@ -83,15 +76,9 @@ def test_no_environment_knobs():
 
 def test_runtime_dependencies_are_stdlib_and_numpy():
     # numpy is the only runtime dependency; relative imports stay in the package
-    src = os.path.dirname(wordmetric.__file__)
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     found = []
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(src, name)
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]

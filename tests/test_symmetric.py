@@ -1,6 +1,7 @@
 """Permutations, greedy decompositions, and symmetric-group witnesses."""
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -219,6 +220,22 @@ class TestPowerWitness:
         sigma = parse_cycle_notation("(0 1 2 3 4 5 6)", 7)
         wit = approx(parse_word("x^-3"), sigma)
         assert wit.achieved_distance == 0
+
+    def test_power_value_scans_at_most_the_cycle_count(self, monkeypatch):
+        # a group of d cycles of one length needs d <= c, the number of such
+        # cycles, so the gcd tests are bounded by the degree, not the exponent
+        calls = [0]
+        real = math.gcd
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        sigma = random_permutation(60, random.Random(3))
+        monkeypatch.setattr(math, "gcd", counting)
+        wit = approx(parse_word("x^100003"), sigma)
+        assert calls[0] <= sigma.degree
+        assert wit.value == wit.g ** 100003
 
     def test_conjugated_power_word(self):
         sigma = parse_cycle_notation("(0 1 2 3 4)", 5)

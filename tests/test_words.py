@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from wordmetric import words
 from wordmetric.words import (
     Word,
     WordSyntaxError,
@@ -43,6 +44,30 @@ class TestParsing:
 
     def test_empty_input_is_trivial(self):
         assert parse_word("").is_trivial()
+
+    def test_power_matches_repeated_product(self):
+        for text in ("x", "y^-3", "x y", "x y x^-1", "[x,y]"):
+            w = parse_word(text)
+            for n in range(-3, 4):
+                expected = Word(())
+                for _ in range(abs(n)):
+                    expected = expected * (w if n > 0 else w.inverse())
+                assert w**n == expected
+
+    def test_power_of_one_syllable_builds_one_letter(self, monkeypatch):
+        # x^n multiplies the exponent, so no n-letter tuple is reduced
+        reduced = []
+        real = words._reduce
+
+        def counting(letters):
+            letters = tuple(letters)
+            reduced.append(len(letters))
+            return real(letters)
+
+        monkeypatch.setattr(words, "_reduce", counting)
+        assert parse_word("x^100000").letters == (("x", 100000),)
+        assert parse_word("(y^-2)^-50000").letters == (("y", 100000),)
+        assert max(reduced) <= 2
 
     @pytest.mark.parametrize("bad", ["z", "x^", "[x y]", "(x", "x^1.5", "^2"])
     def test_rejects_bad_syntax(self, bad):
