@@ -490,6 +490,9 @@ def embed(small: Field, big: Field):
     return lambda a: table[a]
 
 
+_SCAN_LIMIT = 4096  # fields up to this size find a root by trying every element
+
+
 def find_any_root(f: FqPoly) -> Optional[int]:
     """A root of f in its own field, or None.
 
@@ -501,7 +504,7 @@ def find_any_root(f: FqPoly) -> Optional[int]:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return None
-    if F.q <= 4096:
+    if F.q <= _SCAN_LIMIT:
         for a in range(F.q):
             if f.evaluate(a) == 0:
                 return a
@@ -510,6 +513,13 @@ def find_any_root(f: FqPoly) -> Optional[int]:
     linear = FqPoly.x_pow_minus_x(F, F.q, f).gcd(f)
     if linear.degree < 1:
         return None
+    return _split_linear(linear)
+
+
+def _split_linear(linear: FqPoly) -> Optional[int]:
+    """A root of a monic product of distinct linear factors, split off by
+    Cantor-Zassenhaus with a generator seeded from its coefficients."""
+    F = linear.field
     rng = random.Random(0xF1E1D ^ F.q ^ hash(tuple(linear.coeffs)) & 0xFFFFFFFF)
     g = linear
     while g.degree > 1:
@@ -539,7 +549,9 @@ def min_extension_root(f: FqPoly, l: int):
     """Least m <= l with a root of f in F_{q^m}; returns (m, root, big field).
 
     Existence in F_{q^m} is decided by gcd(f, X^{q^m} - X) over the base
-    field, then the root is extracted in the big field.  Returns None if no
+    field, then the root is extracted in the big field: by the scan of
+    find_any_root in a small one, else by splitting that gcd, which is the
+    product of the linear factors of f over F_{q^m}.  Returns None if no
     extension of degree <= l contains a root.
     """
     if f.degree < 1:
@@ -550,7 +562,10 @@ def min_extension_root(f: FqPoly, l: int):
         if probe.degree >= 1:
             big = make_field(F.p, F.e * m)
             up = embed(F, big)
-            root = find_any_root(f.map_coeffs(up, big))
+            if big.q <= _SCAN_LIMIT:
+                root = find_any_root(f.map_coeffs(up, big))
+            else:
+                root = _split_linear(probe.map_coeffs(up, big))
             if root is None:
                 raise AssertionError("gcd test promised a root")
             return m, root, big

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cayley import FiniteQuotient, build_d2, smith_solve
+from .cayley import D2Matrix, FiniteQuotient, build_d2, smith_solve
 from .ffield import Field, FqPoly, make_field
 from .perms import Permutation
 from .symmetric import Witness, approx
@@ -588,8 +588,7 @@ def _try_wreath_plan(w: Word, chi: FqPoly, count: int) -> Optional[_WreathPlan]:
         modulus = compose_with_power(chi, c).monic()
         if modulus.evaluate(0) == 0:
             continue
-        quotient = FiniteQuotient.cyclic(r)
-        mat = build_d2(w, quotient)
+        quotient, mat = _cyclic_d2(w, r)
         x_target = FqPoly(field, [0] * c + [1]) % modulus
         solution = _solve_units([list(row) for row in mat.rows], [x_target] * r, modulus)
         if solution is None:
@@ -607,15 +606,25 @@ def _try_wreath_plan(w: Word, chi: FqPoly, count: int) -> Optional[_WreathPlan]:
     return None
 
 
+@lru_cache(maxsize=None)
+def _cyclic_d2(w: Word, r: int) -> Tuple[FiniteQuotient, D2Matrix]:
+    """Z/r and the boundary matrix of w over it, which no target changes."""
+    quotient = FiniteQuotient.cyclic(r)
+    return quotient, build_d2(w, quotient)
+
+
 def _solve_units(
     m: List[List[int]],
     target: List[FqPoly],
     modulus: FqPoly,
 ) -> Optional[List[FqPoly]]:
-    """Solve M xi = target multiplicatively over the unit group of
+    """Solve M xi = target multiplicatively over the unit group U of
     F_q[X]/(modulus); each diagonal equation eta^d = rhs is solved by
-    scanning the (small) unit group."""
-    units = _ring_units(modulus)
+    scanning U in the order of _ring_units.
+
+    U is enumerated only for such a root or for a negative exponent: a
+    nonnegative power of a unit is taken as it is, since it equals the power
+    to the exponent mod |U|."""
     one = FqPoly(modulus.field, [1])
 
     def mul(a: FqPoly, b: FqPoly) -> FqPoly:
@@ -623,10 +632,12 @@ def _solve_units(
 
     def unit_power(f: FqPoly, e: int) -> FqPoly:
         # f^|U| = 1, so a negative exponent reduces to a nonnegative one
-        return power(f, e % len(units), one, mul)
+        if e < 0:
+            e %= len(_ring_units(modulus))
+        return power(f, e, one, mul)
 
     def root(d: int, rhs: FqPoly) -> Optional[FqPoly]:
-        return next((cand for cand in units if unit_power(cand, d) == rhs), None)
+        return next((cand for cand in _ring_units(modulus) if unit_power(cand, d) == rhs), None)
 
     return smith_solve(m, target, one, mul, unit_power, root)[0]
 
@@ -655,6 +666,13 @@ def _wreath_matrices(plan: _WreathPlan) -> Tuple[MatrixFq, MatrixFq]:
 
 def _group_invariant_factors(factors: Sequence[FqPoly]) -> List[Tuple[FqPoly, int]]:
     return [(f, len(list(run))) for f, run in itertools.groupby(factors)]
+
+
+@lru_cache(maxsize=None)
+def _cycle_witness(w: Word, lengths: Tuple[int, ...]) -> Witness:
+    """The S_n witness for cycles of the given lengths on consecutive points,
+    which depends on the word and the lengths alone."""
+    return approx(w, Permutation.from_cycle_lengths(lengths))
 
 
 def approx_gl(w: Word, a: MatrixFq) -> GLWitness:
@@ -707,8 +725,7 @@ def approx_gl(w: Word, a: MatrixFq) -> GLWitness:
 
     sym_witness: Optional[Witness] = None
     if perm_chis:
-        sigma = Permutation.from_cycle_lengths([chi.degree for chi in perm_chis])
-        sym_witness = approx(w, sigma)
+        sym_witness = _cycle_witness(w, tuple(chi.degree for chi in perm_chis))
         blocks.extend(frobenius_block(chi) for chi in perm_chis)
         g_blocks.append(MatrixFq.permutation(field, sym_witness.g))
         h_blocks.append(MatrixFq.permutation(field, sym_witness.h))
