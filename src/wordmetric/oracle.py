@@ -16,17 +16,18 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Tuple
 
+import numpy as np
+
 from .ffield import Field
 from .glapprox import MatrixFq, evaluate_word_matrix, rank_distance
-from .perms import Permutation, evaluate_word, hamming_distance
-from .words import Word
+from .perms import CycleType, Permutation, PermutationStack
+from .words import Word, evaluate
 
 SYM_IMAGE_MAX_N = 8
 SYM_DISTANCE_MAX_N = 7
 MATRIX_GROUP_LIMIT = 10**6
 MATRIX_EXHAUSTIVE_LIMIT = 10**8
 
-CycleType = Tuple[Tuple[int, int], ...]
 MatrixClass = Tuple[Tuple[int, ...], ...]
 
 
@@ -63,9 +64,13 @@ def _partitions(n: int, largest: Optional[int] = None) -> Iterator[Tuple[int, ..
             yield (part,) + rest
 
 
-def _all_permutations(n: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(n)):
-        yield Permutation(images)
+# S_n for n <= 8 has at most 40320 elements: every n is kept
+@lru_cache(maxsize=None)
+def _symmetric_group(n: int) -> Tuple[PermutationStack, Tuple[CycleType, ...]]:
+    """All of S_n as one stack, rows in itertools.permutations order, and
+    the cycle type of each row."""
+    group = PermutationStack(list(itertools.permutations(range(n))))
+    return group, tuple(group.cycle_types())
 
 
 def word_image_sym(w: Word, n: int) -> ImageReport:
@@ -77,23 +82,24 @@ def word_image_sym(w: Word, n: int) -> ImageReport:
     """
     if n < 1 or n > SYM_IMAGE_MAX_N:
         raise ValueError(f"n must be in 1..{SYM_IMAGE_MAX_N}")
+    group, _ = _symmetric_group(n)
     classes = set()
     for partition in _partitions(n):
-        g = Permutation.from_cycle_lengths(partition)
-        for h in _all_permutations(n):
-            classes.add(evaluate_word(w, g, h).cycle_type())
+        g = PermutationStack(Permutation.from_cycle_lengths(partition).images)
+        classes.update(evaluate(w, g, group).cycle_types())
     return ImageReport(group=f"S_{n}", classes=frozenset(classes), exhaustive=True)
 
 
 def exact_distance_sym(w: Word, sigma: Permutation) -> Fraction:
     """min d_H(sigma, tau) over the full image of w on S_n, for n <= 7."""
     n = sigma.degree
-    if n > SYM_DISTANCE_MAX_N:
-        raise ValueError(f"n must be at most {SYM_DISTANCE_MAX_N}")
+    if n < 1 or n > SYM_DISTANCE_MAX_N:
+        raise ValueError(f"n must be in 1..{SYM_DISTANCE_MAX_N}")
     attained = word_image_sym(w, n).classes
-    return _nearest(
-        sigma, _all_permutations(n), Permutation.cycle_type, attained, hamming_distance
-    )
+    group, labels = _symmetric_group(n)
+    in_image = np.fromiter((label in attained for label in labels), dtype=bool, count=len(labels))
+    moved = (group.images[in_image] != sigma.images).sum(axis=1)
+    return Fraction(int(moved.min()), n)
 
 
 def _nearest(
@@ -143,6 +149,8 @@ def word_image_matrix(
     Exhaustive over all generator pairs when |G|^2 evaluations fit in the
     global budget; otherwise a seeded random sample of `budget` pairs.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     order = _gl_order(d, field.q)
     if order > MATRIX_GROUP_LIMIT:
         raise ValueError(f"|GL_{d}({field.q})| = {order} exceeds {MATRIX_GROUP_LIMIT}")
@@ -174,6 +182,8 @@ def exact_distance_matrix(
     field = target.field
     if report is None:
         report = word_image_matrix(w, d, field)
+    elif report.group != f"GL_{d}({field.q})":
+        raise ValueError(f"a report on {report.group} cannot place a target in GL_{d}({field.q})")
     return _nearest(
         target, _all_gl_elements(field, d), _matrix_class, report.classes, rank_distance
     )

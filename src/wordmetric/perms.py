@@ -10,7 +10,11 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from .words import Word, evaluate, power
+
+CycleType = Tuple[Tuple[int, int], ...]
 
 
 class Permutation:
@@ -98,7 +102,7 @@ class Permutation:
             by_len.setdefault(len(cyc), []).append(cyc)
         return by_len
 
-    def cycle_type(self) -> Tuple[Tuple[int, int], ...]:
+    def cycle_type(self) -> CycleType:
         """Multiset of (length, count), lengths ascending."""
         return tuple(sorted((k, len(cycles)) for k, cycles in self.cycles_by_length().items()))
 
@@ -108,6 +112,91 @@ class Permutation:
 
     def __repr__(self):
         return f"Permutation({list(self.images)})"
+
+
+class PermutationStack:
+    """Permutations of {0..n-1} held as the rows of one read-only (m, n)
+    integer array, with the right action of Permutation row by row:
+    (s*t)[k, i] = t[k, s[k, i]].  A stack of one row is broadcast against
+    a stack of m rows, so a single left or right factor is never copied.
+    """
+
+    __slots__ = ("images",)
+
+    def __init__(self, images):
+        array = np.array(images, dtype=np.intp, ndmin=2)
+        if array.ndim != 2 or (np.sort(array, axis=1) != np.arange(array.shape[1])).any():
+            raise ValueError("every row must be a bijection of 0..n-1")
+        self._set(array)
+
+    def _set(self, array: np.ndarray) -> None:
+        array.flags.writeable = False
+        self.images = array
+
+    @classmethod
+    def _wrap(cls, array: np.ndarray) -> "PermutationStack":
+        """The stack of an array whose rows are already permutations (no copy)."""
+        stack = cls.__new__(cls)
+        stack._set(array)
+        return stack
+
+    @property
+    def degree(self) -> int:
+        return self.images.shape[1]
+
+    def __mul__(self, other: "PermutationStack") -> "PermutationStack":
+        """Apply self first, then other, row by row."""
+        s, t = self.images, other.images
+        if s.shape[1] != t.shape[1]:
+            raise ValueError("mismatched degrees")
+        # one gather on a flat array, about twice as fast as np.take_along_axis
+        # on S_7, which builds an index array per axis
+        if len(t) == 1:
+            return PermutationStack._wrap(t[0][s])
+        if len(s) == 1:
+            return PermutationStack._wrap(np.take(t, s[0], axis=1))
+        row_starts = t.shape[1] * np.arange(len(t))[:, None]
+        return PermutationStack._wrap(t.ravel()[s + row_starts])
+
+    def inverse(self) -> "PermutationStack":
+        inv = np.empty_like(self.images)
+        points = np.broadcast_to(np.arange(self.degree), self.images.shape)
+        np.put_along_axis(inv, self.images, points, axis=1)
+        return PermutationStack._wrap(inv)
+
+    def __pow__(self, n: int) -> "PermutationStack":
+        if n == 0:
+            identity = np.broadcast_to(np.arange(self.degree), self.images.shape)
+            return PermutationStack._wrap(identity.copy())
+        return power(self if n > 0 else self.inverse(), abs(n), one=None)
+
+    def cycle_types(self) -> List[CycleType]:
+        """Permutation.cycle_type() of every row."""
+        m, n = self.images.shape
+        # remaining[k, r]: the points of row r on cycles longer than k
+        remaining = np.zeros((n + 1, m), dtype=np.intp)
+        remaining[0] = n
+        longer = np.ones((m, n), dtype=bool)
+        orbit = self
+        # no cycle is longer than n, so remaining[n] stays 0
+        for k in range(1, n):
+            longer &= orbit.images != np.arange(n)
+            remaining[k] = longer.sum(axis=1)
+            orbit = orbit * self
+        # rows sorted by cycle type; each row's index among the distinct ones
+        order = np.lexsort(remaining)
+        ranked = remaining[:, order]
+        first = np.ones(m, dtype=bool)
+        first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+        index = np.empty(m, dtype=np.intp)
+        index[order] = np.cumsum(first) - 1
+        # counts[k - 1]: the number of k-cycles of each distinct row
+        counts = -np.diff(ranked[:, first], axis=0) // np.arange(1, n + 1)[:, None]
+        labels = [
+            tuple((k, c) for k, c in enumerate(column, start=1) if c)
+            for column in counts.T.tolist()
+        ]
+        return [labels[i] for i in index.tolist()]
 
 
 def hamming_distance(s: Permutation, t: Permutation) -> Fraction:

@@ -81,6 +81,10 @@ class TestSymDistance:
         with pytest.raises(ValueError):
             exact_distance_sym(parse_word("x"), Permutation.identity(8))
 
+    def test_degree_zero_names_the_distance_range(self):
+        with pytest.raises(ValueError, match=r"1\.\.7"):
+            exact_distance_sym(parse_word("x"), Permutation.identity(0))
+
 
 class TestMatrixImage:
     def test_identity_word_hits_all_classes(self):
@@ -129,6 +133,22 @@ class TestMatrixImage:
         monkeypatch.setattr(glapprox, "_invariant_factors", counted)
         assert [exact_distance_matrix(w, t, report) for t in targets] == first
         assert calls == []
+
+    @pytest.mark.parametrize("budget", [0, -1, -200_000])
+    def test_budget_below_one_rejected(self, budget):
+        F = make_field(3, 1)
+        with pytest.raises(ValueError, match="budget"):
+            word_image_matrix(parse_word("[x,y]"), 3, F, budget=budget)
+
+    def test_report_of_another_group_rejected(self):
+        w = parse_word("[x,y]")
+        F2, F3 = make_field(2, 1), make_field(3, 1)
+        identity = MatrixFq.identity(F3, 2)
+        with pytest.raises(ValueError, match="GL_2\\(2\\)"):
+            exact_distance_matrix(w, identity, word_image_matrix(w, 2, F2))
+        with pytest.raises(ValueError):
+            exact_distance_matrix(w, MatrixFq.identity(F3, 3), word_image_matrix(w, 2, F3))
+        assert exact_distance_matrix(w, identity, word_image_matrix(w, 2, F3)) == 0
 
     def test_sampled_mode_records_seed(self):
         F = make_field(11, 1)
