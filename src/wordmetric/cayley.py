@@ -40,6 +40,8 @@ class FiniteQuotient:
     def __post_init__(self):
         if self.g.degree != self.h.degree:
             raise ValueError("generator permutations act on different sets")
+        if self.g.degree < 1:
+            raise ValueError("a group needs at least the identity, vertex 0")
         # the marked generators must generate: orbit of the identity is all
         seen = {0}
         frontier = [0]
@@ -436,6 +438,8 @@ def width_two_shift(
     Randomized search with exact rank verification; exhaustive fallback for
     n <= 8.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     u1 = [[Fraction(e) for e in vec] for vec in u1]
     u2 = [[Fraction(e) for e in vec] for vec in u2]
     for vec in itertools.chain(u1, u2):

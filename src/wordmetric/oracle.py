@@ -1,20 +1,21 @@
 """Ground-truth word images and exact distances on tiny groups.
 
 Everything here is brute force and is only meant to validate the
-constructive modules: word images are conjugation-invariant, so it
-suffices to run one generator over conjugacy-class representatives and
-the other over the whole group, then record class labels (cycle types in
-S_n, invariant-factor coefficient lists for matrix groups).
+constructive modules: word images are conjugation-invariant, so both the
+S_n and the GL_d(q) oracle run one generator over conjugacy-class
+representatives and the other over the whole group, then record class
+labels (cycle types in S_n, invariant-factor coefficient lists in GL_d(q)).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import FrozenSet, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -102,19 +103,6 @@ def exact_distance_sym(w: Word, sigma: Permutation) -> Fraction:
     return Fraction(int(moved.min()), n)
 
 
-def _nearest(
-    target, elements: Iterable, label: Callable, attained: FrozenSet, distance: Callable
-) -> Fraction:
-    """min distance(target, m) over the elements m with label(m) attained."""
-    best = Fraction(1)
-    for m in elements:
-        if label(m) in attained:
-            best = min(best, distance(target, m))
-            if best == 0:
-                break
-    return best
-
-
 def _gl_order(d: int, q: int) -> int:
     order = 1
     for i in range(d):
@@ -122,8 +110,8 @@ def _gl_order(d: int, q: int) -> int:
     return order
 
 
-# one group at a time: GL_d(q) may have 10^6 elements, and the matrices keep
-# their inverses and invariant factors, so each is classified once per group
+# one group at a time: GL_d(q) may have 10^6 elements. They come sorted by rows
+# and keep their inverses and invariant factors, so each is classified once per group
 @lru_cache(maxsize=1)
 def _all_gl_elements(field: Field, d: int) -> Tuple[MatrixFq, ...]:
     matrices = (
@@ -146,9 +134,11 @@ def word_image_matrix(
 ) -> ImageReport:
     """Attained invariant-factor lists of w on GL_d(q), |GL_d(q)| <= 10^6.
 
-    Exhaustive over all generator pairs when |G|^2 evaluations fit in the
-    global budget; otherwise a seeded random sample of `budget` pairs.
+    Exhaustive when |G|^2 fits in the global budget, with g over one element
+    per class and h over G; otherwise a seeded sample of `budget` pairs.
     """
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     order = _gl_order(d, field.q)
@@ -158,13 +148,17 @@ def word_image_matrix(
     group = f"GL_{d}({field.q})"
     exhaustive = order * order <= MATRIX_EXHAUSTIVE_LIMIT
     if exhaustive:
-        pairs = itertools.product(elements, repeat=2)
+        representatives = {}
+        for m in elements:
+            representatives.setdefault(_matrix_class(m), m)
+        pairs = ((g, h) for g in representatives.values() for h in elements)
     else:
         rng = random.Random(seed)
         pairs = ((rng.choice(elements), rng.choice(elements)) for _ in range(budget))
-    # many pairs give the same value, so each distinct value is classified once
     values = {evaluate_word_matrix(w, g, h) for g, h in pairs}
-    classes = frozenset(_matrix_class(m) for m in values)
+    # a value takes the class of the equal cached element, found by its rows
+    found = (bisect.bisect_left(elements, m.rows, key=lambda e: e.rows) for m in values)
+    classes = frozenset(_matrix_class(elements[i]) for i in found)
     return ImageReport(
         group=group, classes=classes, exhaustive=exhaustive, seed=None if exhaustive else seed
     )
@@ -173,17 +167,22 @@ def word_image_matrix(
 def exact_distance_matrix(
     w: Word, target: MatrixFq, report: Optional[ImageReport] = None
 ) -> Fraction:
-    """min d_rk(target, value) over the enumerated image.
+    """min d_rk(target, m) over the cached elements m of an attained class.
 
     Pass a precomputed report when ranging over many targets; the image
     enumeration dominates the cost otherwise.
     """
-    d = target.n
-    field = target.field
+    d, field = target.n, target.field
+    if target.ncols != d:
+        raise ValueError(f"target must be square, got {d}x{target.ncols}")
     if report is None:
         report = word_image_matrix(w, d, field)
     elif report.group != f"GL_{d}({field.q})":
         raise ValueError(f"a report on {report.group} cannot place a target in GL_{d}({field.q})")
-    return _nearest(
-        target, _all_gl_elements(field, d), _matrix_class, report.classes, rank_distance
-    )
+    best = Fraction(1)
+    for m in _all_gl_elements(field, d):
+        if _matrix_class(m) in report.classes:
+            best = min(best, rank_distance(target, m))
+            if best == 0:
+                break
+    return best

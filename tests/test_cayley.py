@@ -54,6 +54,16 @@ class TestFiniteQuotient:
         assert q.order == 5
         assert q.element(parse_word("x^3"))(0) == 3
 
+    @pytest.mark.parametrize("n", [0, -1, -7])
+    def test_cyclic_order_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="identity"):
+            FiniteQuotient.cyclic(n)
+        assert FiniteQuotient.cyclic(1).order == 1
+
+    def test_empty_vertex_set_rejected(self):
+        with pytest.raises(ValueError, match="identity"):
+            FiniteQuotient(g=Permutation(()), h=Permutation(()))
+
     def test_generation_checked(self):
         with pytest.raises(ValueError):
             FiniteQuotient(
@@ -300,6 +310,12 @@ class TestWidthTwoShift:
         u = [[Fraction(1), Fraction(-1), Fraction(0), Fraction(0)]]
         with pytest.raises(ValueError):
             width_two_shift(u, u, 4)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_degree_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            width_two_shift([], [], n)
+        assert width_two_shift([], [], 1) == Permutation.identity(1)
 
     def test_zero_sum_precondition(self):
         with pytest.raises(ValueError):

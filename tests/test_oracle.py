@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wordmetric import glapprox
+from wordmetric import glapprox, oracle
 from wordmetric.ffield import make_field
 from wordmetric.glapprox import MatrixFq, evaluate_word_matrix
 from wordmetric.oracle import (
@@ -139,6 +139,21 @@ class TestMatrixImage:
         F = make_field(3, 1)
         with pytest.raises(ValueError, match="budget"):
             word_image_matrix(parse_word("[x,y]"), 3, F, budget=budget)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_degree_below_one_rejected(self, d):
+        with pytest.raises(ValueError, match="at least 1"):
+            word_image_matrix(parse_word("[x,y]"), d, make_field(3, 1))
+
+    def test_non_square_target_rejected(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("enumerated the group of a non-square target")
+
+        monkeypatch.setattr(oracle, "_all_gl_elements", no_enumeration)
+        monkeypatch.setattr(oracle, "word_image_matrix", no_enumeration)
+        target = MatrixFq(make_field(3, 1), [[1, 0, 0], [0, 1, 0]])
+        with pytest.raises(ValueError, match="square"):
+            exact_distance_matrix(parse_word("[x,y]"), target)
 
     def test_report_of_another_group_rejected(self):
         w = parse_word("[x,y]")

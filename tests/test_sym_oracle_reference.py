@@ -4,7 +4,7 @@ and distances as the scalar sweep over Permutation objects it replaced."""
 import itertools
 import random
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, FrozenSet, Iterable, Iterator
 
 import pytest
 
@@ -12,7 +12,6 @@ from wordmetric.oracle import (
     SYM_DISTANCE_MAX_N,
     SYM_IMAGE_MAX_N,
     ImageReport,
-    _nearest,
     _partitions,
     exact_distance_sym,
     word_image_sym,
@@ -41,6 +40,19 @@ IMAGE_WORDS = (
 def _all_permutations(n: int) -> Iterator[Permutation]:
     for images in itertools.permutations(range(n)):
         yield Permutation(images)
+
+
+def _nearest(
+    target, elements: Iterable, label: Callable, attained: FrozenSet, distance: Callable
+) -> Fraction:
+    """min distance(target, m) over the elements m with label(m) attained."""
+    best = Fraction(1)
+    for m in elements:
+        if label(m) in attained:
+            best = min(best, distance(target, m))
+            if best == 0:
+                break
+    return best
 
 
 def reference_word_image_sym(w: Word, n: int) -> ImageReport:
