@@ -144,22 +144,28 @@ def build_d2(w: Word, q: FiniteQuotient) -> D2Matrix:
     return D2Matrix(word=w, quotient=q, rows=tuple(tuple(r) for r in walked))
 
 
+def _extend_echelon(
+    basis: List[Sequence[Fraction]], pivots: List[int], vec: Sequence[Fraction]
+) -> bool:
+    """Reduce vec by the echelon basis, whose pivot columns are pivots, and
+    append the rest with its first nonzero column if it is not zero."""
+    for bvec, pcol in zip(basis, pivots):
+        if vec[pcol]:
+            factor = vec[pcol] / bvec[pcol]
+            vec = [a - factor * b if b else a for a, b in zip(vec, bvec)]
+    pcol = next((j for j, e in enumerate(vec) if e), None)
+    if pcol is None:
+        return False
+    basis.append(vec)
+    pivots.append(pcol)
+    return True
+
+
 def _row_reduce_pivot_rows(rows: Sequence[Sequence[Fraction]]) -> List[int]:
     """Indices of an earliest-index maximal independent set of rows."""
     basis: List[Sequence[Fraction]] = []
     pivots: List[int] = []  # column index of each basis vector's pivot
-    selected = []
-    for idx, vec in enumerate(rows):
-        for bvec, pcol in zip(basis, pivots):
-            if vec[pcol]:
-                factor = vec[pcol] / bvec[pcol]
-                vec = [a - factor * b for a, b in zip(vec, bvec)]
-        pcol = next((j for j, e in enumerate(vec) if e), None)
-        if pcol is not None:
-            basis.append(vec)
-            pivots.append(pcol)
-            selected.append(idx)
-    return selected
+    return [idx for idx, vec in enumerate(rows) if _extend_echelon(basis, pivots, vec)]
 
 
 @dataclass(frozen=True)
@@ -422,7 +428,7 @@ def solve_in_abelian(
 def _permute_vector(vec: Sequence[Fraction], sigma: Permutation) -> List[Fraction]:
     out = [Fraction(0)] * len(vec)
     for i, val in enumerate(vec):
-        out[sigma(i)] = Fraction(val)
+        out[sigma(i)] = val
     return out
 
 
@@ -447,14 +453,27 @@ def width_two_shift(
             raise ValueError("vector length differs from n")
         if sum(vec) != 0:
             raise ValueError("vectors must lie in the zero-sum hyperplane")
-    d1 = len(_row_reduce_pivot_rows(u1))
-    d2 = len(_row_reduce_pivot_rows(u2))
-    if d1 + d2 < n - 1:
+    # U1 is reduced once, and U2 kept to an independent set of d2 vectors
+    basis1: List[Sequence[Fraction]] = []
+    pivots1: List[int] = []
+    for vec in u1:
+        _extend_echelon(basis1, pivots1, vec)
+    u2 = [u2[i] for i in _row_reduce_pivot_rows(u2)]
+    if len(basis1) + len(u2) < n - 1:
         raise ValueError("dimensions too small: no shift can span")
+    # the rank d1 + d2 of U1 + U2.sigma falls by one per shifted vector that
+    # is dependent, and must stay at least n - 1
+    spare = len(basis1) + len(u2) - (n - 1)
 
     def works(sigma: Permutation) -> bool:
-        combined = list(u1) + [_permute_vector(v, sigma) for v in u2]
-        return len(_row_reduce_pivot_rows(combined)) == n - 1
+        basis, pivots = list(basis1), list(pivots1)
+        dependent = 0
+        for vec in u2:
+            if not _extend_echelon(basis, pivots, _permute_vector(vec, sigma)):
+                dependent += 1
+                if dependent > spare:
+                    return False
+        return True
 
     rng = random.Random(seed)
     for _ in range(2000):

@@ -221,6 +221,113 @@ class MatrixFq:
         return f"MatrixFq({self.n}x{self.ncols} over GF({self.field.q}))"
 
 
+def _gl_order(d: int, q: int) -> int:
+    """|GL_d(q)|, the product of q^d - q^i over i < d."""
+    order = 1
+    for i in range(d):
+        order *= q**d - q**i
+    return order
+
+
+def _determinants(field: Field, array: np.ndarray) -> np.ndarray:
+    """The determinant of each matrix of an (m, d, d) array over the field:
+    the Leibniz sum over the d! permutations of the columns, so for small d."""
+    m, d, _ = array.shape
+    det = np.zeros(m, dtype=array.dtype)
+    for perm in itertools.permutations(range(d)):
+        term = np.ones(m, dtype=array.dtype)
+        for i, j in enumerate(perm):
+            term = field.mul_arrays(term, array[:, i, j])
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        det = field.sub(det, term) if odd else field.add(det, term)
+    return det
+
+
+class MatrixStack:
+    """Invertible d x d matrices over a Field held as one read-only (m, d, d)
+    array, with the product of MatrixFq matrix by matrix: (S*T)[k] = S[k] T[k].
+    As in PermutationStack, a stack of one matrix is broadcast against a
+    stack of m.  The inverse is computed once and kept, and the matrices
+    taken from a stack are inverted through the stack's inverse.
+    """
+
+    __slots__ = ("field", "array", "_inverse", "_source")
+
+    def __init__(self, field: Field, matrices):
+        """matrices: d x d matrices of encoded elements, as an (m, d, d) array
+        or nested sequences, or a single d x d matrix."""
+        array = field.array(np.array(matrices, ndmin=3))
+        if array.ndim != 3 or array.shape[1] != array.shape[2]:
+            raise ValueError("a stack holds square matrices of one size")
+        if array.size and (array.min() < 0 or array.max() >= field.q):
+            raise ValueError(f"matrix entries must lie in [0, {field.q})")
+        if not _determinants(field, array).all():
+            raise ValueError("every matrix of a stack must be invertible")
+        self._set(field, array)
+
+    def _set(self, field: Field, array: np.ndarray) -> None:
+        array.flags.writeable = False
+        self.field = field
+        self.array = array
+        self._inverse = None
+        self._source = None
+
+    @classmethod
+    def _wrap(cls, field: Field, array: np.ndarray) -> "MatrixStack":
+        """The stack of an array of invertible reduced matrices (no copy)."""
+        stack = cls.__new__(cls)
+        stack._set(field, array)
+        return stack
+
+    @staticmethod
+    def general_linear(field: Field, d: int) -> "MatrixStack":
+        """All of GL_d(q) in the itertools.product order of the entries read
+        row by row: the candidates with a nonzero determinant."""
+        q, k = field.q, d * d
+        digits = np.arange(q**k)[:, None] // q ** np.arange(k - 1, -1, -1) % q
+        candidates = digits.reshape(-1, d, d).astype(field.dtype(d))
+        return MatrixStack._wrap(field, candidates[_determinants(field, candidates) != 0])
+
+    @property
+    def degree(self) -> int:
+        return self.array.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i: int) -> MatrixFq:
+        """Matrix i as a MatrixFq on a view of the stack's array."""
+        return MatrixFq._wrap(self.field, self.array[i])
+
+    def take(self, index) -> "MatrixStack":
+        """The matrices at the positions in the integer array index."""
+        rows = MatrixStack._wrap(self.field, self.array[index])
+        rows._source = (self, index)
+        return rows
+
+    def __mul__(self, other: "MatrixStack") -> "MatrixStack":
+        """S[k] T[k] for each k."""
+        if self.field is not other.field or self.degree != other.degree:
+            raise ValueError("stacks over different fields or of different sizes")
+        return MatrixStack._wrap(self.field, self.field.matmul(self.array, other.array))
+
+    def inverse(self) -> "MatrixStack":
+        if self._inverse is None:
+            if self._source is not None:
+                stack, index = self._source
+                self._inverse = stack.inverse().take(index)
+            else:
+                # A^|GL_d(q)| = 1 for each A: no elimination per matrix
+                self._inverse = self ** (_gl_order(self.degree, self.field.q) - 1)
+        return self._inverse
+
+    def __pow__(self, e: int) -> "MatrixStack":
+        if e == 0:
+            identity = np.eye(self.degree, dtype=self.array.dtype)
+            return MatrixStack._wrap(self.field, np.broadcast_to(identity, self.array.shape).copy())
+        return power(self if e > 0 else self.inverse(), abs(e), one=None)
+
+
 def evaluate_word_matrix(w: Word, g: MatrixFq, h: MatrixFq) -> MatrixFq:
     return evaluate(w, g, h)
 

@@ -5,22 +5,25 @@ constructive modules: word images are conjugation-invariant, so both the
 S_n and the GL_d(q) oracle run one generator over conjugacy-class
 representatives and the other over the whole group, then record class
 labels (cycle types in S_n, invariant-factor coefficient lists in GL_d(q)).
+
+Each group is cached as one stack whose rows are in increasing base code,
+with a class id per row, so a word value's class is a lookup: its code's
+position among the group's codes, then that row's id.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import FrozenSet, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .ffield import Field
-from .glapprox import MatrixFq, evaluate_word_matrix, rank_distance
+from .glapprox import MatrixFq, MatrixStack, _gl_order, rank_distance
 from .perms import CycleType, Permutation, PermutationStack
 from .words import Word, evaluate
 
@@ -65,6 +68,23 @@ def _partitions(n: int, largest: Optional[int] = None) -> Iterator[Tuple[int, ..
             yield (part,) + rest
 
 
+def _codes(rows: np.ndarray, base: int) -> np.ndarray:
+    """The base-`base` code of each row of an (m, ...) integer array, its
+    entries read in order as digits, the first the most significant."""
+    digits = rows.reshape(len(rows), -1)
+    return digits @ base ** np.arange(digits.shape[1] - 1, -1, -1)
+
+
+def _positions(codes: np.ndarray, rows: np.ndarray, base: int) -> np.ndarray:
+    """The index of each row of rows among the rows of a group whose codes,
+    sorted, are `codes`."""
+    wanted = _codes(rows, base)
+    found = np.searchsorted(codes, wanted)
+    if (codes.take(found, mode="clip") != wanted).any():
+        raise AssertionError("a word value is not an element of the group")
+    return found
+
+
 # S_n for n <= 8 has at most 40320 elements: every n is kept
 @lru_cache(maxsize=None)
 def _symmetric_group(n: int) -> Tuple[PermutationStack, Tuple[CycleType, ...]]:
@@ -72,6 +92,16 @@ def _symmetric_group(n: int) -> Tuple[PermutationStack, Tuple[CycleType, ...]]:
     the cycle type of each row."""
     group = PermutationStack(list(itertools.permutations(range(n))))
     return group, tuple(group.cycle_types())
+
+
+@lru_cache(maxsize=None)
+def _symmetric_classes(n: int) -> Tuple[np.ndarray, np.ndarray, Tuple[CycleType, ...]]:
+    """The base-n codes of the rows of _symmetric_group(n), which are
+    increasing; the class id of each row; and the cycle type of each id."""
+    group, labels = _symmetric_group(n)
+    index: Dict[CycleType, int] = {}
+    ids = np.array([index.setdefault(label, len(index)) for label in labels])
+    return _codes(group.images, n), ids, tuple(index)
 
 
 def word_image_sym(w: Word, n: int) -> ImageReport:
@@ -84,11 +114,13 @@ def word_image_sym(w: Word, n: int) -> ImageReport:
     if n < 1 or n > SYM_IMAGE_MAX_N:
         raise ValueError(f"n must be in 1..{SYM_IMAGE_MAX_N}")
     group, _ = _symmetric_group(n)
-    classes = set()
+    codes, ids, types = _symmetric_classes(n)
+    attained = np.zeros(len(types), dtype=bool)
     for partition in _partitions(n):
         g = PermutationStack(Permutation.from_cycle_lengths(partition).images)
-        classes.update(evaluate(w, g, group).cycle_types())
-    return ImageReport(group=f"S_{n}", classes=frozenset(classes), exhaustive=True)
+        attained[ids[_positions(codes, evaluate(w, g, group).images, n)]] = True
+    classes = frozenset(itertools.compress(types, attained))
+    return ImageReport(group=f"S_{n}", classes=classes, exhaustive=True)
 
 
 def exact_distance_sym(w: Word, sigma: Permutation) -> Fraction:
@@ -97,28 +129,48 @@ def exact_distance_sym(w: Word, sigma: Permutation) -> Fraction:
     if n < 1 or n > SYM_DISTANCE_MAX_N:
         raise ValueError(f"n must be in 1..{SYM_DISTANCE_MAX_N}")
     attained = word_image_sym(w, n).classes
-    group, labels = _symmetric_group(n)
-    in_image = np.fromiter((label in attained for label in labels), dtype=bool, count=len(labels))
+    group, _ = _symmetric_group(n)
+    _, ids, types = _symmetric_classes(n)
+    in_image = np.array([label in attained for label in types])[ids]
     moved = (group.images[in_image] != sigma.images).sum(axis=1)
     return Fraction(int(moved.min()), n)
 
 
-def _gl_order(d: int, q: int) -> int:
-    order = 1
-    for i in range(d):
-        order *= q**d - q**i
-    return order
+class _GLClasses:
+    """GL_d(q) as one stack in the itertools.product order of its entries,
+    so in increasing base-q code, with the class id of each element: -1
+    until the element is first classified, so that each is classified at
+    most once per group."""
+
+    def __init__(self, field: Field, d: int):
+        self.group = MatrixStack.general_linear(field, d)
+        self.codes = _codes(self.group.array, field.q)
+        self.ids = np.full(len(self.codes), -1)
+        self.labels: Dict[MatrixClass, int] = {}  # class -> id, in id order
+
+    def ids_at(self, found: np.ndarray) -> np.ndarray:
+        """The class ids of the elements at the positions found."""
+        for i in dict.fromkeys(found[self.ids[found] < 0].tolist()):
+            self.ids[i] = self.labels.setdefault(_matrix_class(self.group[i]), len(self.labels))
+        return self.ids[found]
+
+    def ids_of(self, values: MatrixStack) -> np.ndarray:
+        """The class id of each matrix of values."""
+        return self.ids_at(_positions(self.codes, values.array, self.group.field.q))
 
 
-# one group at a time: GL_d(q) may have 10^6 elements. They come sorted by rows
-# and keep their inverses and invariant factors, so each is classified once per group
+# one group at a time: GL_d(q) may have 10^6 elements
+@lru_cache(maxsize=1)
+def _gl_classes(field: Field, d: int) -> _GLClasses:
+    return _GLClasses(field, d)
+
+
 @lru_cache(maxsize=1)
 def _all_gl_elements(field: Field, d: int) -> Tuple[MatrixFq, ...]:
-    matrices = (
-        MatrixFq(field, [entries[i * d : (i + 1) * d] for i in range(d)])
-        for entries in itertools.product(range(field.q), repeat=d * d)
-    )
-    return tuple(m for m in matrices if m.is_invertible())
+    """The elements of _gl_classes(field, d) as MatrixFq, in the same order,
+    so sorted by rows."""
+    group = _gl_classes(field, d).group
+    return tuple(group[i] for i in range(len(group)))
 
 
 def _matrix_class(m: MatrixFq) -> MatrixClass:
@@ -135,7 +187,8 @@ def word_image_matrix(
     """Attained invariant-factor lists of w on GL_d(q), |GL_d(q)| <= 10^6.
 
     Exhaustive when |G|^2 fits in the global budget, with g over one element
-    per class and h over G; otherwise a seeded sample of `budget` pairs.
+    per class and h over G; otherwise a seeded sample of `budget` pairs,
+    evaluated on stacks of at most |G| pairs.
     """
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
@@ -144,33 +197,40 @@ def word_image_matrix(
     order = _gl_order(d, field.q)
     if order > MATRIX_GROUP_LIMIT:
         raise ValueError(f"|GL_{d}({field.q})| = {order} exceeds {MATRIX_GROUP_LIMIT}")
-    elements = _all_gl_elements(field, d)
-    group = f"GL_{d}({field.q})"
+    table = _gl_classes(field, d)
+    group = table.group
     exhaustive = order * order <= MATRIX_EXHAUSTIVE_LIMIT
     if exhaustive:
-        representatives = {}
-        for m in elements:
-            representatives.setdefault(_matrix_class(m), m)
-        pairs = ((g, h) for g in representatives.values() for h in elements)
+        first = {}  # class id -> its first element
+        for i, c in enumerate(table.ids_at(np.arange(order)).tolist()):
+            first.setdefault(c, i)
+        pairs = ((group.take([i]), group) for i in first.values())
     else:
         rng = random.Random(seed)
-        pairs = ((rng.choice(elements), rng.choice(elements)) for _ in range(budget))
-    values = {evaluate_word_matrix(w, g, h) for g, h in pairs}
-    # a value takes the class of the equal cached element, found by its rows
-    found = (bisect.bisect_left(elements, m.rows, key=lambda e: e.rows) for m in values)
-    classes = frozenset(_matrix_class(elements[i]) for i in found)
+        positions = range(order)
+        # g then h for each pair, as rng.choice(elements) drew them
+        draws = (rng.choice(positions) for _ in range(2 * budget))
+        drawn = np.fromiter(draws, dtype=np.intp, count=2 * budget).reshape(budget, 2)
+        chunks = (drawn[start : start + order] for start in range(0, budget, order))
+        pairs = ((group.take(chunk[:, 0]), group.take(chunk[:, 1])) for chunk in chunks)
+    found = {i for g, h in pairs for i in table.ids_of(evaluate(w, g, h)).tolist()}
+    labels = list(table.labels)
     return ImageReport(
-        group=group, classes=classes, exhaustive=exhaustive, seed=None if exhaustive else seed
+        group=f"GL_{d}({field.q})",
+        classes=frozenset(labels[i] for i in found),
+        exhaustive=exhaustive,
+        seed=None if exhaustive else seed,
     )
 
 
 def exact_distance_matrix(
     w: Word, target: MatrixFq, report: Optional[ImageReport] = None
 ) -> Fraction:
-    """min d_rk(target, m) over the cached elements m of an attained class.
+    """min d_rk(target, m) over the elements m of an attained class.
 
-    Pass a precomputed report when ranging over many targets; the image
-    enumeration dominates the cost otherwise.
+    On a sampled report this is an upper bound: a class the sample missed
+    may hold a nearer element. Pass a precomputed report when ranging over
+    many targets; the image enumeration dominates the cost otherwise.
     """
     d, field = target.n, target.field
     if target.ncols != d:
@@ -179,10 +239,13 @@ def exact_distance_matrix(
         report = word_image_matrix(w, d, field)
     elif report.group != f"GL_{d}({field.q})":
         raise ValueError(f"a report on {report.group} cannot place a target in GL_{d}({field.q})")
+    table = _gl_classes(field, d)
+    ids = table.ids_at(np.arange(len(table.codes)))
+    in_image = np.array([label in report.classes for label in table.labels])
+    elements = _all_gl_elements(field, d)
     best = Fraction(1)
-    for m in _all_gl_elements(field, d):
-        if _matrix_class(m) in report.classes:
-            best = min(best, rank_distance(target, m))
-            if best == 0:
-                break
+    for i in np.flatnonzero(in_image[ids]).tolist():
+        best = min(best, rank_distance(target, elements[i]))
+        if best == 0:
+            break
     return best

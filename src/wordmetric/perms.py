@@ -119,9 +119,10 @@ class PermutationStack:
     integer array, with the right action of Permutation row by row:
     (s*t)[k, i] = t[k, s[k, i]].  A stack of one row is broadcast against
     a stack of m rows, so a single left or right factor is never copied.
+    The inverse is computed once and kept.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_inverse")
 
     def __init__(self, images):
         array = np.array(images, dtype=np.intp, ndmin=2)
@@ -132,6 +133,7 @@ class PermutationStack:
     def _set(self, array: np.ndarray) -> None:
         array.flags.writeable = False
         self.images = array
+        self._inverse = None
 
     @classmethod
     def _wrap(cls, array: np.ndarray) -> "PermutationStack":
@@ -159,10 +161,12 @@ class PermutationStack:
         return PermutationStack._wrap(t.ravel()[s + row_starts])
 
     def inverse(self) -> "PermutationStack":
-        inv = np.empty_like(self.images)
-        points = np.broadcast_to(np.arange(self.degree), self.images.shape)
-        np.put_along_axis(inv, self.images, points, axis=1)
-        return PermutationStack._wrap(inv)
+        if self._inverse is None:
+            inv = np.empty_like(self.images)
+            points = np.broadcast_to(np.arange(self.degree), self.images.shape)
+            np.put_along_axis(inv, self.images, points, axis=1)
+            self._inverse = PermutationStack._wrap(inv)
+        return self._inverse
 
     def __pow__(self, n: int) -> "PermutationStack":
         if n == 0:
