@@ -87,16 +87,14 @@ def fox_derivative(w: Word, var: str) -> GroupRingElem:
     """d(w)/d(var), computed letterwise by the product rule."""
     if var not in ("x", "y"):
         raise ValueError("variable must be x or y")
-    result = GroupRingElem.zero()
+    terms: Dict[Word, int] = {}
     prefix = Word(())
     for gen, step in w.unit_letters():
         if gen == var:
-            if step == 1:
-                result = result + GroupRingElem.of(prefix)
-            else:
-                result = result - GroupRingElem.of(prefix * Word(((gen, -1),)))
+            key = prefix if step == 1 else prefix * Word(((gen, -1),))
+            terms[key] = terms.get(key, 0) + step
         prefix = prefix * Word(((gen, step),))
-    return result
+    return GroupRingElem(terms)
 
 
 def fox_identity_holds(w: Word) -> bool:

@@ -245,13 +245,14 @@ def _determinants(field: Field, array: np.ndarray) -> np.ndarray:
 
 class MatrixStack:
     """Invertible d x d matrices over a Field held as one read-only (m, d, d)
-    array, with the product of MatrixFq matrix by matrix: (S*T)[k] = S[k] T[k].
-    As in PermutationStack, a stack of one matrix is broadcast against a
-    stack of m.  The inverse is computed once and kept, and the matrices
-    taken from a stack are inverted through the stack's inverse.
+    array `images` (row i of a matrix is the image of e_i under v -> vA), with
+    the product of MatrixFq matrix by matrix: (S*T)[k] = S[k] T[k].  As in
+    PermutationStack, a stack of one matrix is broadcast against a stack of
+    m.  The inverse is computed once and kept, and the matrices taken from a
+    stack are inverted through the stack's inverse.
     """
 
-    __slots__ = ("field", "array", "_inverse", "_source")
+    __slots__ = ("field", "images", "_inverse", "_source")
 
     def __init__(self, field: Field, matrices):
         """matrices: d x d matrices of encoded elements, as an (m, d, d) array
@@ -268,7 +269,7 @@ class MatrixStack:
     def _set(self, field: Field, array: np.ndarray) -> None:
         array.flags.writeable = False
         self.field = field
-        self.array = array
+        self.images = array
         self._inverse = None
         self._source = None
 
@@ -290,18 +291,18 @@ class MatrixStack:
 
     @property
     def degree(self) -> int:
-        return self.array.shape[1]
+        return self.images.shape[1]
 
     def __len__(self) -> int:
-        return len(self.array)
+        return len(self.images)
 
     def __getitem__(self, i: int) -> MatrixFq:
         """Matrix i as a MatrixFq on a view of the stack's array."""
-        return MatrixFq._wrap(self.field, self.array[i])
+        return MatrixFq._wrap(self.field, self.images[i])
 
     def take(self, index) -> "MatrixStack":
         """The matrices at the positions in the integer array index."""
-        rows = MatrixStack._wrap(self.field, self.array[index])
+        rows = MatrixStack._wrap(self.field, self.images[index])
         rows._source = (self, index)
         return rows
 
@@ -309,7 +310,7 @@ class MatrixStack:
         """S[k] T[k] for each k."""
         if self.field is not other.field or self.degree != other.degree:
             raise ValueError("stacks over different fields or of different sizes")
-        return MatrixStack._wrap(self.field, self.field.matmul(self.array, other.array))
+        return MatrixStack._wrap(self.field, self.field.matmul(self.images, other.images))
 
     def inverse(self) -> "MatrixStack":
         if self._inverse is None:
@@ -323,8 +324,8 @@ class MatrixStack:
 
     def __pow__(self, e: int) -> "MatrixStack":
         if e == 0:
-            identity = np.eye(self.degree, dtype=self.array.dtype)
-            return MatrixStack._wrap(self.field, np.broadcast_to(identity, self.array.shape).copy())
+            identity = np.eye(self.degree, dtype=self.images.dtype)
+            return MatrixStack._wrap(self.field, np.broadcast_to(identity, self.images.shape).copy())
         return power(self if e > 0 else self.inverse(), abs(e), one=None)
 
 

@@ -6,9 +6,11 @@ S_n and the GL_d(q) oracle run one generator over conjugacy-class
 representatives and the other over the whole group, then record class
 labels (cycle types in S_n, invariant-factor coefficient lists in GL_d(q)).
 
-Each group is cached as one stack whose rows are in increasing base code,
-with a class id per row, so a word value's class is a lookup: its code's
-position among the group's codes, then that row's id.
+Each group is cached as one class table: a stack whose rows are in
+increasing base code, with the class id of each row, given when the row is
+first classified.  A word value's class is a lookup: its code's position
+among the group's codes, then that row's id.  Both oracles share the table's
+image loop and its positions of the elements of attained classes.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .ffield import Field
 from .glapprox import MatrixFq, MatrixStack, _gl_order, rank_distance
-from .perms import CycleType, Permutation, PermutationStack
+from .perms import Permutation, PermutationStack
 from .words import Word, evaluate
 
 SYM_IMAGE_MAX_N = 8
@@ -85,23 +87,58 @@ def _positions(codes: np.ndarray, rows: np.ndarray, base: int) -> np.ndarray:
     return found
 
 
+class _ClassTable:
+    """A group as one stack whose rows are in increasing base code, with the
+    class id of each row: -1 until the row is first classified, so that each
+    is classified at most once per group.  classify maps a stack of rows to
+    an iterable of their class labels."""
+
+    def __init__(self, group, base: int, classify: Callable):
+        self.group = group
+        self.base = base
+        self.codes = _codes(group.images, base)
+        self.ids = np.full(len(self.codes), -1)
+        self.labels: Dict = {}  # class -> id, in id order
+        self._classify = classify
+
+    def ids_at(self, found: np.ndarray) -> np.ndarray:
+        """The class ids of the rows at the distinct positions found."""
+        new = found[self.ids[found] < 0]
+        if len(new):
+            for i, label in zip(new.tolist(), self._classify(self.group.take(new))):
+                self.ids[i] = self.labels.setdefault(label, len(self.labels))
+        return self.ids[found]
+
+    def image(self, w: Word, pairs: Optional[Iterable] = None) -> FrozenSet:
+        """The classes of the values of w on the stacks (g, h) of pairs: by
+        default g over the first element of each class and h over the group."""
+        if pairs is None:
+            ids = self.ids_at(np.arange(len(self.codes)))
+            first = np.full(len(self.labels), len(ids))
+            np.minimum.at(first, ids, np.arange(len(ids)))
+            pairs = ((self.group.take([i]), self.group) for i in first.tolist())
+        is_value = np.zeros(len(self.codes), dtype=bool)
+        for g, h in pairs:
+            is_value[_positions(self.codes, evaluate(w, g, h).images, self.base)] = True
+        # np.unique is avoided: its first call imports numpy.ma, about 15 ms
+        ids = self.ids_at(np.flatnonzero(is_value))
+        attained = np.zeros(len(self.labels), dtype=bool)
+        attained[ids] = True
+        return frozenset(itertools.compress(self.labels, attained))
+
+    def members(self, classes: FrozenSet) -> np.ndarray:
+        """The positions of the elements whose class is in classes."""
+        ids = self.ids_at(np.arange(len(self.codes)))
+        attained = np.array([label in classes for label in self.labels], dtype=bool)
+        return np.flatnonzero(attained[ids])
+
+
 # S_n for n <= 8 has at most 40320 elements: every n is kept
 @lru_cache(maxsize=None)
-def _symmetric_group(n: int) -> Tuple[PermutationStack, Tuple[CycleType, ...]]:
-    """All of S_n as one stack, rows in itertools.permutations order, and
-    the cycle type of each row."""
+def _symmetric_group(n: int) -> _ClassTable:
+    """All of S_n in itertools.permutations order, classified by cycle type."""
     group = PermutationStack(list(itertools.permutations(range(n))))
-    return group, tuple(group.cycle_types())
-
-
-@lru_cache(maxsize=None)
-def _symmetric_classes(n: int) -> Tuple[np.ndarray, np.ndarray, Tuple[CycleType, ...]]:
-    """The base-n codes of the rows of _symmetric_group(n), which are
-    increasing; the class id of each row; and the cycle type of each id."""
-    group, labels = _symmetric_group(n)
-    index: Dict[CycleType, int] = {}
-    ids = np.array([index.setdefault(label, len(index)) for label in labels])
-    return _codes(group.images, n), ids, tuple(index)
+    return _ClassTable(group, n, PermutationStack.cycle_types)
 
 
 def word_image_sym(w: Word, n: int) -> ImageReport:
@@ -113,14 +150,7 @@ def word_image_sym(w: Word, n: int) -> ImageReport:
     """
     if n < 1 or n > SYM_IMAGE_MAX_N:
         raise ValueError(f"n must be in 1..{SYM_IMAGE_MAX_N}")
-    group, _ = _symmetric_group(n)
-    codes, ids, types = _symmetric_classes(n)
-    attained = np.zeros(len(types), dtype=bool)
-    for partition in _partitions(n):
-        g = PermutationStack(Permutation.from_cycle_lengths(partition).images)
-        attained[ids[_positions(codes, evaluate(w, g, group).images, n)]] = True
-    classes = frozenset(itertools.compress(types, attained))
-    return ImageReport(group=f"S_{n}", classes=classes, exhaustive=True)
+    return ImageReport(group=f"S_{n}", classes=_symmetric_group(n).image(w), exhaustive=True)
 
 
 def exact_distance_sym(w: Word, sigma: Permutation) -> Fraction:
@@ -128,49 +158,19 @@ def exact_distance_sym(w: Word, sigma: Permutation) -> Fraction:
     n = sigma.degree
     if n < 1 or n > SYM_DISTANCE_MAX_N:
         raise ValueError(f"n must be in 1..{SYM_DISTANCE_MAX_N}")
-    attained = word_image_sym(w, n).classes
-    group, _ = _symmetric_group(n)
-    _, ids, types = _symmetric_classes(n)
-    in_image = np.array([label in attained for label in types])[ids]
-    moved = (group.images[in_image] != sigma.images).sum(axis=1)
-    return Fraction(int(moved.min()), n)
-
-
-class _GLClasses:
-    """GL_d(q) as one stack in the itertools.product order of its entries,
-    so in increasing base-q code, with the class id of each element: -1
-    until the element is first classified, so that each is classified at
-    most once per group."""
-
-    def __init__(self, field: Field, d: int):
-        self.group = MatrixStack.general_linear(field, d)
-        self.codes = _codes(self.group.array, field.q)
-        self.ids = np.full(len(self.codes), -1)
-        self.labels: Dict[MatrixClass, int] = {}  # class -> id, in id order
-
-    def ids_at(self, found: np.ndarray) -> np.ndarray:
-        """The class ids of the elements at the positions found."""
-        for i in dict.fromkeys(found[self.ids[found] < 0].tolist()):
-            self.ids[i] = self.labels.setdefault(_matrix_class(self.group[i]), len(self.labels))
-        return self.ids[found]
-
-    def ids_of(self, values: MatrixStack) -> np.ndarray:
-        """The class id of each matrix of values."""
-        return self.ids_at(_positions(self.codes, values.array, self.group.field.q))
+    classes = word_image_sym(w, n).classes
+    table = _symmetric_group(n)
+    in_image = table.group.images[table.members(classes)]
+    return Fraction(int((in_image != sigma.images).sum(axis=1).min()), n)
 
 
 # one group at a time: GL_d(q) may have 10^6 elements
 @lru_cache(maxsize=1)
-def _gl_classes(field: Field, d: int) -> _GLClasses:
-    return _GLClasses(field, d)
-
-
-@lru_cache(maxsize=1)
-def _all_gl_elements(field: Field, d: int) -> Tuple[MatrixFq, ...]:
-    """The elements of _gl_classes(field, d) as MatrixFq, in the same order,
-    so sorted by rows."""
-    group = _gl_classes(field, d).group
-    return tuple(group[i] for i in range(len(group)))
+def _gl_classes(field: Field, d: int) -> _ClassTable:
+    """All of GL_d(q) in the itertools.product order of its entries,
+    classified by invariant factors."""
+    group = MatrixStack.general_linear(field, d)
+    return _ClassTable(group, field.q, lambda rows: map(_matrix_class, rows))
 
 
 def _matrix_class(m: MatrixFq) -> MatrixClass:
@@ -198,26 +198,20 @@ def word_image_matrix(
     if order > MATRIX_GROUP_LIMIT:
         raise ValueError(f"|GL_{d}({field.q})| = {order} exceeds {MATRIX_GROUP_LIMIT}")
     table = _gl_classes(field, d)
-    group = table.group
     exhaustive = order * order <= MATRIX_EXHAUSTIVE_LIMIT
-    if exhaustive:
-        first = {}  # class id -> its first element
-        for i, c in enumerate(table.ids_at(np.arange(order)).tolist()):
-            first.setdefault(c, i)
-        pairs = ((group.take([i]), group) for i in first.values())
-    else:
+    pairs = None  # one element per class against the group
+    if not exhaustive:
         rng = random.Random(seed)
         positions = range(order)
         # g then h for each pair, as rng.choice(elements) drew them
         draws = (rng.choice(positions) for _ in range(2 * budget))
         drawn = np.fromiter(draws, dtype=np.intp, count=2 * budget).reshape(budget, 2)
         chunks = (drawn[start : start + order] for start in range(0, budget, order))
+        group = table.group
         pairs = ((group.take(chunk[:, 0]), group.take(chunk[:, 1])) for chunk in chunks)
-    found = {i for g, h in pairs for i in table.ids_of(evaluate(w, g, h)).tolist()}
-    labels = list(table.labels)
     return ImageReport(
         group=f"GL_{d}({field.q})",
-        classes=frozenset(labels[i] for i in found),
+        classes=table.image(w, pairs),
         exhaustive=exhaustive,
         seed=None if exhaustive else seed,
     )
@@ -240,12 +234,9 @@ def exact_distance_matrix(
     elif report.group != f"GL_{d}({field.q})":
         raise ValueError(f"a report on {report.group} cannot place a target in GL_{d}({field.q})")
     table = _gl_classes(field, d)
-    ids = table.ids_at(np.arange(len(table.codes)))
-    in_image = np.array([label in report.classes for label in table.labels])
-    elements = _all_gl_elements(field, d)
     best = Fraction(1)
-    for i in np.flatnonzero(in_image[ids]).tolist():
-        best = min(best, rank_distance(target, elements[i]))
+    for i in table.members(report.classes).tolist():
+        best = min(best, rank_distance(target, table.group[i]))
         if best == 0:
             break
     return best

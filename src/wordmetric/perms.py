@@ -116,7 +116,7 @@ class Permutation:
 
 class PermutationStack:
     """Permutations of {0..n-1} held as the rows of one read-only (m, n)
-    integer array, with the right action of Permutation row by row:
+    integer array `images`, with the right action of Permutation row by row:
     (s*t)[k, i] = t[k, s[k, i]].  A stack of one row is broadcast against
     a stack of m rows, so a single left or right factor is never copied.
     The inverse is computed once and kept.
@@ -125,7 +125,10 @@ class PermutationStack:
     __slots__ = ("images", "_inverse")
 
     def __init__(self, images):
-        array = np.array(images, dtype=np.intp, ndmin=2)
+        array = np.array(images, ndmin=2)
+        if array.size and array.dtype.kind not in "iu":
+            raise ValueError("permutation entries must be integers")
+        array = array.astype(np.intp)
         if array.ndim != 2 or (np.sort(array, axis=1) != np.arange(array.shape[1])).any():
             raise ValueError("every row must be a bijection of 0..n-1")
         self._set(array)
@@ -145,6 +148,10 @@ class PermutationStack:
     @property
     def degree(self) -> int:
         return self.images.shape[1]
+
+    def take(self, index) -> "PermutationStack":
+        """The rows at the positions in the integer array index."""
+        return PermutationStack._wrap(self.images[index])
 
     def __mul__(self, other: "PermutationStack") -> "PermutationStack":
         """Apply self first, then other, row by row."""

@@ -2,8 +2,10 @@
 
 import importlib
 import pkgutil
+from functools import lru_cache
 
 import wordmetric
+from wordmetric.oracle import _gl_classes
 
 
 def clear_package_caches():
@@ -17,3 +19,13 @@ def clear_package_caches():
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
+
+
+# one group at a time, as the oracle keeps it; the MatrixFq objects keep
+# their invariant factors, so a reference sweep classifies each element once
+@lru_cache(maxsize=1)
+def all_gl_elements(field, d):
+    """The elements of GL_d(q) as MatrixFq, in the order of the oracle's
+    cached group, so sorted by rows."""
+    group = _gl_classes(field, d).group
+    return tuple(group[i] for i in range(len(group)))

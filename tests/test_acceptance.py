@@ -255,9 +255,9 @@ def test_criterion_11_matrix_oracle_never_beats_rank_witness():
     for n in (2, 3):
         report = word_image_matrix(w, n, F)
         assert report.exhaustive
-        from wordmetric.oracle import _all_gl_elements
+        from conftest import all_gl_elements
 
-        for target in _all_gl_elements(F, n):
+        for target in all_gl_elements(F, n):
             wit = approx_gl(w, target)
             assert wit.value == evaluate_word_matrix(w, wit.g, wit.h)
             assert wit.achieved_distance == rank_distance(target, wit.value)

@@ -129,6 +129,24 @@ class TestFoxDerivative:
         )
         assert d == expected
 
+    def test_one_sum_per_derivative(self, monkeypatch):
+        # the terms are summed in one dict: no element is rebuilt per letter,
+        # so the cost is linear in the exponents
+        built = []
+        original = GroupRingElem.__init__
+
+        def counted(self, terms=None):
+            built.append(len(terms or ()))
+            original(self, terms)
+
+        monkeypatch.setattr(GroupRingElem, "__init__", counted)
+        for e in (1, 30, 1001):
+            built.clear()
+            d = fox_derivative(parse_word(f"[x^{e},y]"), "x")
+            # -x^-1 - ... - x^-e, then x^-e y^-1 (1 + x + ... + x^(e-1))
+            assert sorted(d.terms.values()) == [-1] * e + [1] * e
+            assert built == [2 * e], e
+
 
 class TestMembership:
     def test_chain_examples(self):

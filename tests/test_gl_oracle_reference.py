@@ -8,6 +8,8 @@ from typing import Callable, FrozenSet, Iterable, Optional
 
 import pytest
 
+# under the name the reference functions below were written with
+from conftest import all_gl_elements as _all_gl_elements
 from wordmetric import glapprox
 from wordmetric.ffield import Field, make_field
 from wordmetric.glapprox import MatrixFq, evaluate_word_matrix, rank_distance
@@ -15,7 +17,6 @@ from wordmetric.oracle import (
     MATRIX_EXHAUSTIVE_LIMIT,
     MATRIX_GROUP_LIMIT,
     ImageReport,
-    _all_gl_elements,
     _gl_order,
     _matrix_class,
     exact_distance_matrix,

@@ -7,10 +7,10 @@ import random
 import numpy as np
 import pytest
 
-from conftest import clear_package_caches
+from conftest import all_gl_elements, clear_package_caches
 from wordmetric.ffield import make_field
 from wordmetric.glapprox import MatrixFq, MatrixStack
-from wordmetric.oracle import _all_gl_elements, _gl_classes, word_image_sym
+from wordmetric.oracle import _gl_classes, word_image_sym
 from wordmetric.perms import PermutationStack
 from wordmetric.words import evaluate, parse_word
 
@@ -19,11 +19,11 @@ GROUPS = [(3, 1, 2), (2, 2, 2), (2, 1, 3)]
 
 def seeded_elements(p, e, d, count, seed):
     rng = random.Random(seed)
-    return rng.choices(_all_gl_elements(make_field(p, e), d), k=count)
+    return rng.choices(all_gl_elements(make_field(p, e), d), k=count)
 
 
 def as_matrices(stack):
-    return [MatrixFq(stack.field, a) for a in stack.array]
+    return [MatrixFq(stack.field, a) for a in stack.images]
 
 
 def stack_of(field, matrices):
@@ -39,7 +39,7 @@ def test_product_and_inverse_match_matrixfq(p, e, d):
     assert as_matrices(s.inverse()) == [a.inverse() for a in left]
     # a single left or right factor is broadcast over the other stack
     one = stack_of(F, left[:1])
-    assert one.array.shape == (1, d, d)
+    assert one.images.shape == (1, d, d)
     assert as_matrices(one * t) == [left[0] * b for b in right]
     assert as_matrices(s * one) == [a * left[0] for a in left]
 
@@ -61,7 +61,7 @@ def test_word_values_match_matrixfq(p, e, d):
         w = parse_word(text)
         value = evaluate(w, stack_of(F, [g]), stack)
         # a word in x alone has one value, broadcast over the stack
-        array = np.broadcast_to(value.array, stack.array.shape)
+        array = np.broadcast_to(value.images, stack.images.shape)
         assert [MatrixFq(F, a) for a in array] == [evaluate(w, g, h) for h in hs], text
 
 
@@ -77,8 +77,8 @@ def test_taken_matrices_invert_through_the_stack():
     F = make_field(3, 1)
     group = _gl_classes(F, 2).group
     rows = group.take(np.array([5, 0, 47, 5]))
-    assert as_matrices(rows) == [_all_gl_elements(F, 2)[i] for i in (5, 0, 47, 5)]
-    assert np.array_equal(rows.inverse().array, group.inverse().array[[5, 0, 47, 5]])
+    assert as_matrices(rows) == [all_gl_elements(F, 2)[i] for i in (5, 0, 47, 5)]
+    assert np.array_equal(rows.inverse().images, group.inverse().images[[5, 0, 47, 5]])
     assert group.inverse() is group.inverse()
 
 
@@ -113,7 +113,7 @@ def test_arrays_are_read_only():
     group = _gl_classes(F, 2).group
     for stack in (group, group * group, group.inverse(), group.take([1, 2]), group**0):
         with pytest.raises(ValueError):
-            stack.array[0, 0, 0] = 1
+            stack.images[0, 0, 0] = 1
 
 
 def test_a_second_sym_image_computes_no_cycle_types(monkeypatch):

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import all_gl_elements, clear_package_caches
 from wordmetric import glapprox, oracle
 from wordmetric.ffield import make_field
-from wordmetric.glapprox import MatrixFq, evaluate_word_matrix
+from wordmetric.glapprox import MatrixFq, evaluate_word_matrix, rank_distance
 from wordmetric.oracle import (
-    _all_gl_elements,
+    _matrix_class,
     exact_distance_matrix,
     exact_distance_sym,
     word_image_matrix,
@@ -62,6 +63,12 @@ class TestSymImage:
                 assert classes != {((1, n),)}
 
 
+    @pytest.mark.parametrize("n,count", enumerate([1, 2, 3, 5, 7, 11, 15, 22], start=1))
+    def test_x_attains_every_class(self, n, count):
+        # the partition numbers p(n)
+        assert len(word_image_sym(parse_word("x"), n).classes) == count
+
+
 class TestSymDistance:
     def test_transposition_distance_to_commutators(self):
         sigma = parse_cycle_notation("(0 1)", 5)
@@ -105,9 +112,7 @@ class TestMatrixImage:
         # verify the attained set matches a direct sweep of squares
         F = make_field(3, 1)
         report = word_image_matrix(parse_word("x^2"), 2, F)
-        from wordmetric.oracle import _all_gl_elements, _matrix_class
-
-        squares = {_matrix_class(m * m) for m in _all_gl_elements(F, 2)}
+        squares = {_matrix_class(m * m) for m in all_gl_elements(F, 2)}
         assert report.classes == squares
 
     def test_size_bound_rejected(self):
@@ -120,7 +125,7 @@ class TestMatrixImage:
         w = parse_word("[x,y]")
         F = make_field(2, 1)
         report = word_image_matrix(w, 3, F)
-        targets = _all_gl_elements(F, 3)
+        targets = all_gl_elements(F, 3)
         assert len(targets) == 168
         first = [exact_distance_matrix(w, t, report) for t in targets]
         calls = []
@@ -149,7 +154,7 @@ class TestMatrixImage:
         def no_enumeration(*args):
             raise AssertionError("enumerated the group of a non-square target")
 
-        monkeypatch.setattr(oracle, "_all_gl_elements", no_enumeration)
+        monkeypatch.setattr(oracle, "_gl_classes", no_enumeration)
         monkeypatch.setattr(oracle, "word_image_matrix", no_enumeration)
         target = MatrixFq(make_field(3, 1), [[1, 0, 0], [0, 1, 0]])
         with pytest.raises(ValueError, match="square"):
@@ -164,6 +169,32 @@ class TestMatrixImage:
         with pytest.raises(ValueError):
             exact_distance_matrix(w, MatrixFq.identity(F3, 3), word_image_matrix(w, 2, F3))
         assert exact_distance_matrix(w, identity, word_image_matrix(w, 2, F3)) == 0
+
+    @pytest.mark.parametrize(
+        "d,p,e,count",
+        [(2, 3, 1, 8), (2, 2, 2, 15), (2, 5, 1, 24), (3, 2, 1, 6)]
+        + [(1, p, e, p**e - 1) for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1))],
+    )
+    def test_x_attains_every_class(self, d, p, e, count):
+        # q^2 - 1 classes in GL_2(q) (q = 2 in the test above), q^3 - q in
+        # GL_3(q), q - 1 in GL_1(q)
+        assert len(word_image_matrix(parse_word("x"), d, make_field(p, e)).classes) == count
+
+    def test_distance_on_a_sampled_report_classifies_the_rest(self, monkeypatch):
+        # a sampled image classifies only the values it met; the distance
+        # classifies the rest of the group before it reads the attained ones
+        clear_package_caches()
+        monkeypatch.setattr(oracle, "MATRIX_EXHAUSTIVE_LIMIT", 100)
+        w, F = parse_word("[x,y]"), make_field(3, 1)
+        report = word_image_matrix(w, 2, F, budget=3, seed=5)
+        assert not report.exhaustive
+        for target in all_gl_elements(F, 2):
+            expected = min(
+                rank_distance(target, m)
+                for m in all_gl_elements(F, 2)
+                if _matrix_class(m) in report.classes
+            )
+            assert exact_distance_matrix(w, target, report) == expected
 
     def test_sampled_mode_records_seed(self):
         F = make_field(11, 1)

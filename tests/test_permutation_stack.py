@@ -12,6 +12,15 @@ from wordmetric.perms import Permutation, PermutationStack
 from wordmetric.words import evaluate, parse_word
 
 
+def group_and_labels(n):
+    """The oracle's cached S_n and the cycle type of each row, read from its
+    class table."""
+    table = _symmetric_group(n)
+    ids = table.ids_at(np.arange(len(table.codes)))
+    names = list(table.labels)
+    return table.group, [names[i] for i in ids.tolist()]
+
+
 def seeded_rows(n, count, seed):
     rng = random.Random(seed)
     return [rng.sample(range(n), n) for _ in range(count)]
@@ -70,8 +79,15 @@ def test_rejects_non_bijections_and_mismatched_degrees():
         PermutationStack([[0, 1]]) * PermutationStack([[0, 1, 2]])
 
 
+@pytest.mark.parametrize("rows", [[[0.5, 1.7, 2.2]], [[0.0, 1.0]], [["0", "1"]]])
+def test_rejects_non_integer_entries(rows):
+    # floats are not truncated to a bijection; MatrixStack refuses them too
+    with pytest.raises(ValueError, match="integers"):
+        PermutationStack(rows)
+
+
 def test_arrays_are_read_only():
-    group, labels = _symmetric_group(4)
+    group, labels = group_and_labels(4)
     assert group.images.shape == (24, 4) and len(labels) == 24
     with pytest.raises(ValueError):
         group.images[0, 0] = 1
@@ -81,7 +97,7 @@ def test_arrays_are_read_only():
 
 
 def test_group_rows_are_in_itertools_order():
-    group, labels = _symmetric_group(5)
+    group, labels = group_and_labels(5)
     assert group.images.tolist() == [list(p) for p in itertools.permutations(range(5))]
     assert list(labels) == [Permutation(p).cycle_type() for p in itertools.permutations(range(5))]
 
@@ -91,4 +107,4 @@ def test_clear_package_caches_empties_the_group_cache():
     assert _symmetric_group.cache_info().currsize > 0
     clear_package_caches()
     assert _symmetric_group.cache_info().currsize == 0
-    assert np.array_equal(_symmetric_group(3)[0].images, list(itertools.permutations(range(3))))
+    assert np.array_equal(_symmetric_group(3).group.images, list(itertools.permutations(range(3))))
