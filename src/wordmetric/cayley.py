@@ -102,18 +102,21 @@ class D2Matrix:
 
 def _d2_loop_walk(w: Word, q: FiniteQuotient) -> List[List[int]]:
     n = q.order
-    gens = {"x": (q.g, 0), "y": (q.h, n)}
+    gens = {
+        "x": (q.g.images, q.g.inverse().images, 0),
+        "y": (q.h.images, q.h.inverse().images, n),
+    }
     rows = []
     for v in range(n):
         row = [0] * (2 * n)
         cur = v
         for gen, step in w.unit_letters():
-            perm, base = gens[gen]
+            images, inverse, base = gens[gen]
             if step == 1:
                 row[base + cur] += 1
-                cur = perm(cur)
+                cur = images[cur]
             else:
-                cur = perm.inverse()(cur)
+                cur = inverse[cur]
                 row[base + cur] -= 1
         if cur != v:
             raise AssertionError("loop did not close")
@@ -126,9 +129,8 @@ def _d2_fox(w: Word, q: FiniteQuotient) -> List[List[int]]:
     rows = [[0] * (2 * n) for _ in range(n)]
     for gen, base in (("x", 0), ("y", n)):
         for t, c in fox_derivative(w, gen).terms.items():
-            perm = q.element(t)
-            for v in range(n):
-                rows[v][base + perm(v)] += c
+            for v, image in enumerate(q.element(t).images):
+                rows[v][base + image] += c
     return rows
 
 
@@ -202,8 +204,7 @@ class MonomialWitness:
 def _monomial(phases: np.ndarray, perm: Permutation) -> np.ndarray:
     n = perm.degree
     m = np.zeros((n, n), dtype=complex)
-    for v in range(n):
-        m[v, perm(v)] = phases[v]
+    m[np.arange(n), perm.array] = phases
     return m
 
 
@@ -425,10 +426,11 @@ def solve_in_abelian(
 # -- width two for the permutation representation ----------------------------
 
 
-def _permute_vector(vec: Sequence[Fraction], sigma: Permutation) -> List[Fraction]:
+def _permute_vector(vec: Sequence[Fraction], images: Sequence[int]) -> List[Fraction]:
+    """vec with entry i moved to position images[i]."""
     out = [Fraction(0)] * len(vec)
-    for i, val in enumerate(vec):
-        out[sigma(i)] = val
+    for image, val in zip(images, vec):
+        out[image] = val
     return out
 
 
@@ -465,11 +467,13 @@ def width_two_shift(
     # is dependent, and must stay at least n - 1
     spare = len(basis1) + len(u2) - (n - 1)
 
-    def works(sigma: Permutation) -> bool:
+    # candidates are shuffles or permutations of range(n), so only the one
+    # returned is built as a Permutation
+    def works(images: Sequence[int]) -> bool:
         basis, pivots = list(basis1), list(pivots1)
         dependent = 0
         for vec in u2:
-            if not _extend_echelon(basis, pivots, _permute_vector(vec, sigma)):
+            if not _extend_echelon(basis, pivots, _permute_vector(vec, images)):
                 dependent += 1
                 if dependent > spare:
                     return False
@@ -479,12 +483,10 @@ def width_two_shift(
     for _ in range(2000):
         images = list(range(n))
         rng.shuffle(images)
-        sigma = Permutation(images)
-        if works(sigma):
-            return sigma
+        if works(images):
+            return Permutation(images)
     if n <= 8:
         for images in itertools.permutations(range(n)):
-            sigma = Permutation(images)
-            if works(sigma):
-                return sigma
+            if works(images):
+                return Permutation(images)
     raise AssertionError("no spanning shift found despite the dimension bound")

@@ -132,7 +132,7 @@ class MatrixFq:
         """0/1 matrix with row v supported at perm(v) (right action)."""
         n = perm.degree
         array = np.zeros((n, n), dtype=field.dtype(n))
-        array[np.arange(n), perm.images] = 1
+        array[np.arange(n), perm.array] = 1
         return MatrixFq._wrap(field, array)
 
     @staticmethod

@@ -161,7 +161,7 @@ def exact_distance_sym(w: Word, sigma: Permutation) -> Fraction:
     classes = word_image_sym(w, n).classes
     table = _symmetric_group(n)
     in_image = table.group.images[table.members(classes)]
-    return Fraction(int((in_image != sigma.images).sum(axis=1).min()), n)
+    return Fraction(int((in_image != sigma.array).sum(axis=1).min()), n)
 
 
 # one group at a time: GL_d(q) may have 10^6 elements

@@ -2,13 +2,18 @@
 
 x.(s*t) = (x.s).t, so composing left to right matches word evaluation:
 w(g, h) is the product of the letters of w applied in reading order.
+
+Both types hold read-only intp arrays whose last axis lists the images of
+0..n-1: Permutation one such row, PermutationStack many.  They share the
+kernels below.  Outside input is checked once where it enters; products,
+inverses and powers are wrapped unchecked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,59 +22,133 @@ from .words import Word, evaluate, power
 CycleType = Tuple[Tuple[int, int], ...]
 
 
+def _integers(values, ndim: int) -> np.ndarray:
+    """Outside input as an intp array of at least ndim axes; non-integer
+    entries are refused, not truncated."""
+    array = np.array(values, ndmin=ndim)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError("permutation entries must be integers")
+    return array.astype(np.intp, copy=False)
+
+
+def _checked(images, ndim: int) -> np.ndarray:
+    """Outside input as an intp array of ndim axes whose rows (the last
+    axis) are bijections of 0..n-1."""
+    array = _integers(images, ndim)
+    if array.ndim != ndim or (np.sort(array, axis=-1) != np.arange(array.shape[-1])).any():
+        raise ValueError("every row must be a bijection of 0..n-1")
+    return array
+
+
+def _compose(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Apply s first, then t: (s*t)[..., i] = t[..., s[..., i]], for one row
+    or row by row, a single row broadcast against many."""
+    if s.shape[-1] != t.shape[-1]:
+        raise ValueError("mismatched degrees")
+    # one gather on a flat array, about twice as fast as np.take_along_axis
+    # on S_7, which builds an index array per axis
+    if t.ndim == 1 or len(t) == 1:
+        return t.reshape(-1)[s]
+    if len(s) == 1:
+        return np.take(t, s[0], axis=1)
+    row_starts = t.shape[1] * np.arange(len(t))[:, None]
+    return t.ravel()[s + row_starts]
+
+
+def _invert(images: np.ndarray) -> np.ndarray:
+    """inv[..., s[..., i]] = i, for one row or row by row."""
+    inv = np.empty_like(images)
+    # one scatter; np.put_along_axis builds the same index with seven times
+    # the overhead on one row of seven points
+    rows = (np.arange(len(images))[:, None],) if images.ndim == 2 else ()
+    inv[rows + (images,)] = np.arange(images.shape[-1])
+    return inv
+
+
+def _next_on_cycle(lengths: np.ndarray) -> np.ndarray:
+    """For cycles of the given positive lengths laid end to end, the
+    position that follows each position on its own cycle."""
+    ends = np.cumsum(lengths) - 1
+    after = np.arange(1, int(lengths.sum()) + 1)
+    after[ends] = ends - lengths + 1
+    return after
+
+
 class Permutation:
-    __slots__ = ("images", "_cycles")
+    """One permutation: the read-only intp array `array` of the images of
+    0..n-1.  `images` holds the same as a tuple of Python ints, built on
+    first use."""
+
+    __slots__ = ("array", "_images", "_cycles")
 
     def __init__(self, images: Sequence[int]):
-        self.images = tuple(images)
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError("image array is not a bijection")
-        self._cycles = None
+        self._set(_checked(images, 1))
+
+    def _set(self, array: np.ndarray) -> None:
+        array.flags.writeable = False
+        self.array = array
+        self._images: Optional[Tuple[int, ...]] = None
+        self._cycles: Optional[List[List[int]]] = None
+
+    @classmethod
+    def _wrap(cls, array: np.ndarray) -> "Permutation":
+        """The permutation of a 1-D array that is already one (no copy)."""
+        perm = cls.__new__(cls)
+        perm._set(array)
+        return perm
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(range(n))
+        return Permutation._wrap(np.arange(n))
 
     @staticmethod
     def from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
-        images = list(range(n))
-        for cyc in cycles:
-            for i, pt in enumerate(cyc):
-                images[pt] = cyc[(i + 1) % len(cyc)]
-        return Permutation(images)
+        cycles = [cyc for cyc in cycles if len(cyc)]
+        points = _integers(list(chain.from_iterable(cycles)), 1)
+        if points.size and (points.min() < 0 or points.max() >= n):
+            raise ValueError("point out of range")
+        seen = np.zeros(n, dtype=bool)
+        seen[points] = True
+        if np.count_nonzero(seen) != len(points):
+            raise ValueError("a point lies on two cycles")
+        lengths = np.array([len(cyc) for cyc in cycles], dtype=np.intp)
+        images = np.arange(n)
+        images[points] = points[_next_on_cycle(lengths)]
+        return Permutation._wrap(images)
 
     @staticmethod
     def from_cycle_lengths(lengths: Sequence[int]) -> "Permutation":
         """Cycles of the given lengths, in order, on consecutive points."""
-        starts = accumulate(lengths, initial=0)
-        return Permutation.from_cycles(
-            sum(lengths), [range(start, start + k) for start, k in zip(starts, lengths)]
-        )
+        lengths = _integers(lengths, 1)
+        if (lengths < 0).any():
+            raise ValueError("cycle lengths must be nonnegative")
+        return Permutation._wrap(_next_on_cycle(lengths[lengths > 0]))
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self.array)
+
+    @property
+    def images(self) -> Tuple[int, ...]:
+        if self._images is None:
+            self._images = tuple(self.array.tolist())
+        return self._images
 
     def __call__(self, x: int) -> int:
         return self.images[x]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
+        return isinstance(other, Permutation) and np.array_equal(self.array, other.array)
 
     def __hash__(self):
         return hash(self.images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Apply self first, then other (right-action composition)."""
-        oi = other.images
-        return Permutation(tuple(oi[i] for i in self.images))
+        return Permutation._wrap(_compose(self.array, other.array))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, im in enumerate(self.images):
-            inv[im] = i
-        return Permutation(inv)
+        return Permutation._wrap(_invert(self.array))
 
     def __pow__(self, n: int) -> "Permutation":
         if n == 0:
@@ -79,6 +158,7 @@ class Permutation:
     def cycles(self) -> List[List[int]]:
         """Cycle decomposition, fixed points included, cycles sorted by min."""
         if self._cycles is None:
+            images = self.array.tolist()
             seen = [False] * self.degree
             cycles = []
             for start in range(self.degree):
@@ -86,11 +166,11 @@ class Permutation:
                     continue
                 cyc = [start]
                 seen[start] = True
-                x = self.images[start]
+                x = images[start]
                 while x != start:
                     cyc.append(x)
                     seen[x] = True
-                    x = self.images[x]
+                    x = images[x]
                 cycles.append(cyc)
             self._cycles = cycles
         return self._cycles
@@ -111,7 +191,7 @@ class Permutation:
         return relabel.inverse() * self * relabel
 
     def __repr__(self):
-        return f"Permutation({list(self.images)})"
+        return f"Permutation({self.array.tolist()})"
 
 
 class PermutationStack:
@@ -125,13 +205,7 @@ class PermutationStack:
     __slots__ = ("images", "_inverse")
 
     def __init__(self, images):
-        array = np.array(images, ndmin=2)
-        if array.size and array.dtype.kind not in "iu":
-            raise ValueError("permutation entries must be integers")
-        array = array.astype(np.intp)
-        if array.ndim != 2 or (np.sort(array, axis=1) != np.arange(array.shape[1])).any():
-            raise ValueError("every row must be a bijection of 0..n-1")
-        self._set(array)
+        self._set(_checked(images, 2))
 
     def _set(self, array: np.ndarray) -> None:
         array.flags.writeable = False
@@ -155,24 +229,11 @@ class PermutationStack:
 
     def __mul__(self, other: "PermutationStack") -> "PermutationStack":
         """Apply self first, then other, row by row."""
-        s, t = self.images, other.images
-        if s.shape[1] != t.shape[1]:
-            raise ValueError("mismatched degrees")
-        # one gather on a flat array, about twice as fast as np.take_along_axis
-        # on S_7, which builds an index array per axis
-        if len(t) == 1:
-            return PermutationStack._wrap(t[0][s])
-        if len(s) == 1:
-            return PermutationStack._wrap(np.take(t, s[0], axis=1))
-        row_starts = t.shape[1] * np.arange(len(t))[:, None]
-        return PermutationStack._wrap(t.ravel()[s + row_starts])
+        return PermutationStack._wrap(_compose(self.images, other.images))
 
     def inverse(self) -> "PermutationStack":
         if self._inverse is None:
-            inv = np.empty_like(self.images)
-            points = np.broadcast_to(np.arange(self.degree), self.images.shape)
-            np.put_along_axis(inv, self.images, points, axis=1)
-            self._inverse = PermutationStack._wrap(inv)
+            self._inverse = PermutationStack._wrap(_invert(self.images))
         return self._inverse
 
     def __pow__(self, n: int) -> "PermutationStack":
@@ -217,8 +278,7 @@ def hamming_distance(s: Permutation, t: Permutation) -> Fraction:
     n = s.degree
     if n == 0:
         return Fraction(0)
-    diff = sum(1 for a, b in zip(s.images, t.images) if a != b)
-    return Fraction(diff, n)
+    return Fraction(int(np.count_nonzero(s.array != t.array)), n)
 
 
 def evaluate_word(w: Word, g: Permutation, h: Permutation) -> Permutation:

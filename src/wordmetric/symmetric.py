@@ -14,7 +14,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .ffield import is_prime, make_field
 from .perms import Permutation, evaluate_word, hamming_distance
@@ -104,14 +107,16 @@ class Witness:
         return self.target.degree
 
     def to_dict(self) -> dict:
+        # the four lists share one int object per point
+        points = np.arange(self.n).astype(object)
         return {
             "schema": 1,
             "word": str(self.word),
             "n": self.n,
-            "g": list(self.g.images),
-            "h": list(self.h.images),
-            "value": list(self.value.images),
-            "target": list(self.target.images),
+            "g": points[self.g.array].tolist(),
+            "h": points[self.h.array].tolist(),
+            "value": points[self.value.array].tolist(),
+            "target": points[self.target.array].tolist(),
             "achieved_distance": str(self.achieved_distance),
             "achieved_distance_float": float(self.achieved_distance),
             "bound_distance": str(self.bound_distance),
@@ -120,6 +125,11 @@ class Witness:
 
 
 # -- cycle alignment ---------------------------------------------------------
+
+
+def _flat(cycles: Sequence[Sequence[int]]) -> np.ndarray:
+    """The points of the cycles, one cycle after another."""
+    return np.fromiter(chain.from_iterable(cycles), dtype=np.intp)
 
 
 def cycle_alignment(value: Permutation, target: Permutation) -> Permutation:
@@ -131,22 +141,21 @@ def cycle_alignment(value: Permutation, target: Permutation) -> Permutation:
     """
     by_len_value = value.cycles_by_length()
     by_len_target = target.cycles_by_length()
-    images = [None] * value.degree
+    value_cycles: List[List[int]] = []
+    target_cycles: List[List[int]] = []
     left_value: List[List[int]] = []
     left_target: List[List[int]] = []
     for length in sorted(set(by_len_value) | set(by_len_target), reverse=True):
         vs = by_len_value.get(length, [])
         ts = by_len_target.get(length, [])
         matched = min(len(vs), len(ts))
-        for vc, tc in zip(vs[:matched], ts[:matched]):
-            for a, b in zip(vc, tc):
-                images[a] = b
-        left_value.extend(vs[matched:])
-        left_target.extend(ts[matched:])
-    flat_value = [p for cyc in left_value for p in cyc]
-    flat_target = [p for cyc in left_target for p in cyc]
-    for a, b in zip(flat_value, flat_target):
-        images[a] = b
+        value_cycles += vs[:matched]
+        target_cycles += ts[:matched]
+        left_value += vs[matched:]
+        left_target += ts[matched:]
+    # the matched cycles point by point, then the leftovers in one run each
+    images = np.full(value.degree, -1)
+    images[_flat(value_cycles + left_value)] = _flat(target_cycles + left_target)
     return Permutation(images)
 
 
@@ -205,10 +214,9 @@ def _near_value(w: Word, p: int, i: int) -> BlockValue:
     return near_cycle_word_value(w, make_field(p, i))
 
 
-def _place(images: List[int], points: Sequence[int], perm: Permutation) -> None:
+def _place(images: np.ndarray, points: np.ndarray, perm: Permutation) -> None:
     """Write perm onto the given points: points[j] maps to points[perm(j)]."""
-    for j, im in enumerate(perm.images):
-        images[points[j]] = points[im]
+    images[points] = points[perm.array]
 
 
 # -- isotypic targets --------------------------------------------------------
@@ -226,13 +234,13 @@ def _large_k_bound(dec: GreedyDecomposition, n: int, c_k: int, l: int) -> Fracti
 def _build_blockwise(
     n: int, dec: GreedyDecomposition, value_for_level
 ) -> Tuple[Permutation, Permutation]:
-    g_images, h_images = list(range(n)), list(range(n))
+    g_images, h_images = np.arange(n), np.arange(n)
     offset = 0
     for i, count in dec.levels:
         block = value_for_level(i)
         size = dec.q ** i + 1
         for _ in range(count):
-            points = range(offset, offset + size)
+            points = np.arange(offset, offset + size)
             _place(g_images, points, block.g_perm)
             _place(h_images, points, block.h_perm)
             offset += size
@@ -409,17 +417,16 @@ def approx(w: Word, sigma: Permutation) -> Witness:
     if form.kind == "power":
         return _power_witness(w, form, sigma)
     n = sigma.degree
-    g_images = list(range(n))
-    h_images = list(range(n))
+    g_images, h_images = np.arange(n), np.arange(n)
     weighted = Fraction(0)
     bound = Fraction(0)
     trace_blocks = {}
     for k, cycles in sorted(sigma.cycles_by_length().items()):
-        block_pts = [p for cyc in cycles for p in cyc]
         c_k = len(cycles)
         if k == 1:
             trace_blocks[str(k)] = {"path": "identity", "points": c_k}
             continue
+        block_pts = _flat(cycles)
         wit = approx_isotypic(w, k, c_k)
         _place(g_images, block_pts, wit.g)
         _place(h_images, block_pts, wit.h)

@@ -69,6 +69,42 @@ class TestPermutations:
         assert s.cycles() == [[0, 1, 2], [3], [4, 5]]
         assert Permutation.from_cycle_lengths([]) == Permutation.identity(0)
 
+    @pytest.mark.parametrize(
+        "images", [[0.0, 1.0], [True, False], [0.5, 1.7, 2.2], ["0", "1"], [1.0, 0]]
+    )
+    def test_rejects_non_integer_entries(self, images):
+        # floats equal to a bijection used to pass the check and compare
+        # equal to the integer permutation
+        with pytest.raises(ValueError, match="integers"):
+            Permutation(images)
+
+    def test_rejects_non_bijections(self):
+        for images in ([0, 0, 1], [0, 1, 3], [-1, 0], [[0, 1]]):
+            with pytest.raises(ValueError):
+                Permutation(images)
+
+    def test_from_cycles_rejects_a_repeated_point(self):
+        for cycles in ([[0, 1], [0, 1]], [[0, 1, 0]], [[2], [0, 2]]):
+            with pytest.raises(ValueError, match="two cycles"):
+                Permutation.from_cycles(3, cycles)
+        for cycles in ([[0, 3]], [[-1, 0]]):
+            with pytest.raises(ValueError, match="out of range"):
+                Permutation.from_cycles(3, cycles)
+        with pytest.raises(ValueError, match="repeated point"):
+            parse_cycle_notation("(0 1)(0 1)", 3)
+        assert Permutation.from_cycles(3, [[], [2], [0, 1]]) == parse_cycle_notation("(0 1)", 3)
+
+    def test_products_need_equal_degrees(self):
+        with pytest.raises(ValueError, match="mismatched degrees"):
+            Permutation([0, 1]) * Permutation([1, 0, 2])
+
+    def test_images_are_read_only(self):
+        s = Permutation([1, 2, 0])
+        for perm in (s, s * s, s.inverse(), s**5, Permutation.identity(3)):
+            with pytest.raises(ValueError):
+                perm.array[0] = 0
+        assert s.images == (1, 2, 0)
+
     def test_hamming_distance_is_a_metric(self):
         rng = random.Random(1)
         for _ in range(30):
